@@ -36,6 +36,7 @@ from .sampling import (
     build_volume_distribution,
     draw_uniform,
     draw_volume,
+    draw_volume_row,
     max_subset_volume,
     relaxation_factor,
 )

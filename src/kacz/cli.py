@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NumericError, ParseError
 from .linsys import (
     SpectralDecomposition,
+    _fmt,
     exponential_sv_schedule,
     gram,
     linear_sv_schedule,
@@ -36,10 +37,6 @@ from .spectral import (
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _parse_n_list(text: str) -> list[int]:

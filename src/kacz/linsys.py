@@ -83,13 +83,11 @@ class SpectralDecomposition:
 
     sigma_sq holds the N eigenvalues (squared singular values of A) in
     descending order, clamped at zero; column j of V is the eigenvector for
-    sigma_sq[j]. v_min is populated by grade-dependent spectral profiles,
-    not here.
+    sigma_sq[j].
     """
 
     sigma_sq: np.ndarray
     V: np.ndarray
-    v_min: np.ndarray | None = None
 
 
 def gram(A: np.ndarray) -> np.ndarray:
@@ -170,7 +168,7 @@ def synth_system(M: int, N: int, seed: int, decay: str = "gaussian") -> LinearSy
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
 def _parse_decimal(token: str, path: str, lineno: int) -> float:

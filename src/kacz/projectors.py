@@ -51,10 +51,9 @@ class SubsetGeometry:
     G_n: np.ndarray
     v_sq: float
     rank: int
-    sin_sq_angles: tuple[float, ...] | None = None
 
 
-def subset_geometry(S: RowSubset, compute_angles: bool = False) -> SubsetGeometry:
+def subset_geometry(S: RowSubset) -> SubsetGeometry:
     """Geometry of the subset; v_sq = 0 whenever rank < n.
 
     v_sq is the product of squared diagonal entries of the pivoted-QR
@@ -69,10 +68,7 @@ def subset_geometry(S: RowSubset, compute_angles: bool = False) -> SubsetGeometr
     rank_tol = n * EPS * float(diag_sq[0]) if diag_sq.size else 0.0
     rank = int(np.count_nonzero(diag_sq > rank_tol))
     v_sq = float(np.prod(diag_sq)) if rank == n else 0.0
-    angles = None
-    if compute_angles and n >= 2:
-        angles = tuple(leave_one_out_angles(S))
-    return SubsetGeometry(G_n=G_n, v_sq=v_sq, rank=rank, sin_sq_angles=angles)
+    return SubsetGeometry(G_n=G_n, v_sq=v_sq, rank=rank)
 
 
 def _cholesky(S: RowSubset):

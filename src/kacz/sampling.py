@@ -1,8 +1,11 @@
-"""Row-subset samplers: volume probabilities, uniform draws, relaxation.
+"""Row-subset samplers: the subset table, volume and uniform draws, relaxation.
 
-Volume sampling enumerates every subset (desk scale by design); uniform
-draws use a partial Fisher-Yates shuffle. The relaxation factor turns
-uniform draws into quasi-projector-matched steps.
+One colex enumeration per (A, n) builds the subset table (desk scale by
+design): the positive-volume subsets with their squared volumes, the
+cumulative weights volume draws invert, and the Gram matrices steps reuse.
+Its v_sq_max serves the uniform sampler's relaxation and bounds. Uniform
+draws use a partial Fisher-Yates shuffle; the relaxation factor turns them
+into quasi-projector-matched steps.
 """
 
 from __future__ import annotations
@@ -35,53 +38,83 @@ def check_enumeration_cap(M: int, n: int, cap: int = ENUMERATION_CAP) -> int:
     return count
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class VolumeDistribution:
-    """Exhaustive v^2-proportional distribution over independent n-subsets.
+    """Subset table of (A, n): every n-subset with positive volume.
 
-    entries hold (indices, v_sq, cumulative v_sq) in colex order with
-    zero-volume subsets excluded; vol_n is the enumerated normalizer and
-    v_sq_max the largest squared volume over all subsets.
+    Row k holds, in colex order, the subset's row indices indices[k], its
+    squared volume v_sq[k], the running sum cumulative[k] of v_sq[0..k] and
+    its symmetrized Gram matrix G[k] = A_S A_S^T. vol_n is the enumerated
+    normalizer (0 when rank < n, leaving the table empty) and v_sq_max the
+    largest squared volume over all subsets. Arrays are read-only.
     """
 
     matrix: np.ndarray
     n: int
-    entries: tuple[tuple[tuple[int, ...], float, float], ...]
+    indices: np.ndarray
+    v_sq: np.ndarray
+    cumulative: np.ndarray
+    G: np.ndarray
     vol_n: float
     v_sq_max: float
 
+    def check_drawable(self) -> None:
+        """Raise unless some subset has positive volume."""
+        if self.vol_n == 0.0:
+            raise RankDeficiencyError(
+                f"every {self.n}-subset has zero volume (rank < {self.n})"
+            )
+
 
 def build_volume_distribution(A: np.ndarray, n: int) -> VolumeDistribution:
+    """Enumerate the n-subsets of A's rows once, in colex order."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    M = A.shape[0]
-    check_enumeration_cap(M, n)
-    entries = []
-    cumulative = 0.0
-    v_sq_max = 0.0
-    for idx in combinations_colex(M, n):
-        v_sq = subset_geometry(make_row_subset(A, idx)).v_sq
-        v_sq_max = max(v_sq_max, v_sq)
-        if v_sq > 0.0:
-            cumulative += v_sq
-            entries.append((idx, v_sq, cumulative))
-    if not entries:
-        raise RankDeficiencyError(f"every {n}-subset has zero volume (rank < {n})")
+    count = check_enumeration_cap(A.shape[0], n)
+    indices = np.empty((count, n), dtype=np.intp)
+    v_sq = np.empty(count)
+    G = np.empty((count, n, n))
+    kept = 0
+    for idx in combinations_colex(A.shape[0], n):
+        geom = subset_geometry(make_row_subset(A, idx))
+        if geom.v_sq > 0.0:
+            indices[kept] = idx
+            v_sq[kept] = geom.v_sq
+            G[kept] = geom.G_n
+            kept += 1
+    for a in (indices, v_sq, G):  # trim in place, without a second copy
+        a.resize((kept,) + a.shape[1:], refcheck=False)
+    cumulative = np.cumsum(v_sq)
     return VolumeDistribution(
-        matrix=A, n=n, entries=tuple(entries), vol_n=cumulative, v_sq_max=v_sq_max
+        matrix=A,
+        n=n,
+        indices=_frozen(indices),
+        v_sq=_frozen(v_sq),
+        cumulative=_frozen(cumulative),
+        G=_frozen(G),
+        vol_n=float(cumulative[-1]) if cumulative.size else 0.0,
+        v_sq_max=float(v_sq.max(initial=0.0)),
     )
 
 
-def draw_volume(dist: VolumeDistribution, rng: Xoshiro256StarStar) -> RowSubset:
-    """Inverse-CDF draw: subset i with probability v_sq(i) / vol_n."""
+def draw_volume_row(dist: VolumeDistribution, rng: Xoshiro256StarStar) -> int:
+    """Inverse-CDF draw of table row k with probability v_sq[k] / vol_n.
+
+    The table must be drawable (see VolumeDistribution.check_drawable).
+    """
     target = rng.random() * dist.vol_n
-    lo, hi = 0, len(dist.entries) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if dist.entries[mid][2] <= target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return make_row_subset(dist.matrix, dist.entries[lo][0])
+    k = int(np.searchsorted(dist.cumulative, target, side="right"))
+    return min(k, dist.cumulative.shape[0] - 1)
+
+
+def draw_volume(dist: VolumeDistribution, rng: Xoshiro256StarStar) -> RowSubset:
+    """The subset of a draw_volume_row draw; raises on an undrawable table."""
+    dist.check_drawable()
+    return make_row_subset(dist.matrix, dist.indices[draw_volume_row(dist, rng)])
 
 
 def draw_uniform(M: int, n: int, rng: Xoshiro256StarStar) -> tuple[int, ...]:
@@ -96,13 +129,8 @@ def draw_uniform(M: int, n: int, rng: Xoshiro256StarStar) -> tuple[int, ...]:
 
 
 def max_subset_volume(A: np.ndarray, n: int) -> float:
-    """Exact v^2_max over all n-subsets, by enumeration."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    check_enumeration_cap(A.shape[0], n)
-    return max(
-        subset_geometry(make_row_subset(A, idx)).v_sq
-        for idx in combinations_colex(A.shape[0], n)
-    )
+    """Exact v^2_max over all n-subsets (0 when rank < n), by enumeration."""
+    return build_volume_distribution(A, n).v_sq_max
 
 
 @dataclass

@@ -1,6 +1,10 @@
 """Pursuit engine: single- and multi-row projection steps, relaxed uniform
 steps, full pursuits with error tracking, and seed-split ensembles.
 
+Every step goes through one kernel. Volume steps take the subset's Gram
+matrix from the subset table of (A, n); uniform steps compute the geometry
+of their draw once and pass it on.
+
 A pursuit is sequential by definition; ensemble members are independent
 (per-member generators derived from the master seed) and reduced in
 member-index order, so results do not depend on execution schedule.
@@ -20,10 +24,10 @@ from .projectors import RowSubset, make_row_subset, subset_geometry
 from .rng import Xoshiro256StarStar, mix_seed
 from .sampling import (
     RelaxationState,
+    VolumeDistribution,
     build_volume_distribution,
     draw_uniform,
-    draw_volume,
-    max_subset_volume,
+    draw_volume_row,
     relaxation_factor,
 )
 from .spectral import SpectralProfile, build_spectral_profile, rate_bounds
@@ -50,7 +54,6 @@ class PursuitConfig:
     stop_tol: float = 1e-12
     track: str = "error_to_solution"
     x0: np.ndarray | None = None
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -67,7 +70,7 @@ class PursuitConfig:
 
 @dataclass
 class PursuitTrace:
-    """Per-iteration record of one pursuit."""
+    """Per-iteration record of one pursuit; iterates is (iters_run + 1) x N."""
 
     errors_sq: np.ndarray
     gain_ratios: np.ndarray
@@ -75,7 +78,7 @@ class PursuitTrace:
     mus: np.ndarray | None
     iters_run: int
     converged: bool
-    iterates: np.ndarray | None = None
+    iterates: np.ndarray
 
 
 def kaczmarz_step(x: np.ndarray, a: np.ndarray, b_a: float) -> np.ndarray:
@@ -86,6 +89,13 @@ def kaczmarz_step(x: np.ndarray, a: np.ndarray, b_a: float) -> np.ndarray:
         raise ValueError("cannot project onto a zero row")
     x = np.asarray(x, dtype=np.float64)
     return x + ((b_a - float(a @ x)) / norm_sq) * a
+
+
+def _step(x: np.ndarray, A_S: np.ndarray, G_S: np.ndarray, b_S: np.ndarray,
+          mu: float) -> np.ndarray:
+    """x + mu * A_S^T G_S^{-1} (b_S - A_S x) for an independent subset."""
+    cho = scipy.linalg.cho_factor(G_S, lower=True)
+    return x + mu * (A_S.T @ scipy.linalg.cho_solve(cho, b_S - A_S @ x))
 
 
 def multirow_step(x: np.ndarray, S: RowSubset, b_S: np.ndarray) -> np.ndarray:
@@ -109,9 +119,7 @@ def relaxed_step(x: np.ndarray, S: RowSubset, b_S: np.ndarray, mu: float) -> np.
         raise DependentSubsetError(
             f"rows {S.indices} are numerically dependent; only mu = 0 is defined"
         )
-    cho = scipy.linalg.cho_factor(geom.G_n, lower=True)
-    residual = np.asarray(b_S, dtype=np.float64) - S.A_n @ x
-    return x + mu * (S.A_n.T @ scipy.linalg.cho_solve(cho, residual))
+    return _step(x, S.A_n, geom.G_n, np.asarray(b_S, dtype=np.float64), mu)
 
 
 def _row_space_projector(A: np.ndarray) -> np.ndarray | None:
@@ -160,13 +168,14 @@ def _validate_run(system: LinearSystem, config: PursuitConfig) -> None:
         raise ValueError("error_to_solution tracking needs a known solution")
 
 
-def run_pursuit(system: LinearSystem, config: PursuitConfig,
-                member_index: int = 0, _dist=None, _v_sq_max=None) -> PursuitTrace:
+def run_pursuit(system: LinearSystem, config: PursuitConfig, member_index: int = 0,
+                table: VolumeDistribution | None = None) -> PursuitTrace:
     """Iterate until the tracked error falls below stop_tol^2 or max_iters.
 
     member_index selects the draw stream, so an ensemble member's trace is
-    reproducible in isolation. _dist and _v_sq_max let an ensemble reuse
-    one enumeration across members; they never change the result.
+    reproducible in isolation. table is the subset table of (A, n), built
+    here when the sampler needs it and not given; an ensemble passes one to
+    share the enumeration across members. It never changes the result.
     """
     _validate_run(system, config)
     A, b = system.A, system.b
@@ -174,25 +183,24 @@ def run_pursuit(system: LinearSystem, config: PursuitConfig,
     x = _draw_x0(system, config)
     rng = Xoshiro256StarStar(mix_seed(config.master_seed, _MEMBER_STREAM_BASE + member_index))
 
-    dist = None
-    relax = None
     uniform = config.sampler == "uniform"
+    exact_max = config.v_sq_max_mode == "exact"
+    if table is None and (exact_max or not uniform):
+        table = build_volume_distribution(A, n)
     if uniform:
-        v_sq_max = 0.0
-        if config.v_sq_max_mode == "exact":
-            v_sq_max = max_subset_volume(A, n) if _v_sq_max is None else _v_sq_max
         relax = RelaxationState(
-            mode=config.relax_mode, v_sq_max_mode=config.v_sq_max_mode, v_sq_max=v_sq_max
+            mode=config.relax_mode, v_sq_max_mode=config.v_sq_max_mode,
+            v_sq_max=table.v_sq_max if exact_max else 0.0,
         )
     else:
-        dist = build_volume_distribution(A, n) if _dist is None else _dist
+        table.check_drawable()
 
     track_error = _ErrorTracker(system, config.track)
     tol_sq = config.stop_tol**2
     errors = [track_error(x)]
     draws: list[tuple[int, ...]] = []
     mus: list[float] = []
-    iterates = [x.copy()] if config.record_iterates else None
+    iterates = [x]  # steps never write into x, so the list keeps each iterate
 
     converged = errors[0] <= tol_sq
     iters_run = 0
@@ -204,15 +212,17 @@ def run_pursuit(system: LinearSystem, config: PursuitConfig,
             mu = relaxation_factor(geom.v_sq, relax)
             if geom.rank < n:
                 mu = 0.0  # dependent draw: counted, but the iterate stays put
-            x = relaxed_step(x, S, b[list(idx)], mu)
+            if mu != 0.0:
+                x = _step(x, S.A_n, geom.G_n, b[list(idx)], mu)
             mus.append(mu)
         else:
-            S = draw_volume(dist, rng)
-            x = multirow_step(x, S, b[list(S.indices)])
-        draws.append(S.indices)
+            k = draw_volume_row(table, rng)
+            rows = table.indices[k]
+            x = _step(x, A[rows], table.G[k], b[rows], 1.0)
+            idx = tuple(rows.tolist())
+        draws.append(idx)
         errors.append(track_error(x))
-        if iterates is not None:
-            iterates.append(x.copy())
+        iterates.append(x)
         iters_run += 1
         converged = errors[-1] <= tol_sq
 
@@ -226,7 +236,7 @@ def run_pursuit(system: LinearSystem, config: PursuitConfig,
         mus=np.array(mus) if uniform else None,
         iters_run=iters_run,
         converged=bool(converged),
-        iterates=None if iterates is None else np.array(iterates),
+        iterates=np.array(iterates),
     )
 
 
@@ -256,19 +266,6 @@ class EnsembleReport:
     traces: list[PursuitTrace] | None = None
 
 
-def effective_kappa_sq(system: LinearSystem, config: PursuitConfig,
-                       profile: SpectralProfile | None = None) -> float:
-    """Grade condition number, with vol_n replaced by vol_n_max for the
-    uniform sampler."""
-    if profile is None:
-        profile = build_spectral_profile(
-            system.A, config.n, include_vol_max=config.sampler == "uniform"
-        )
-    if config.sampler == "uniform":
-        return profile.vol_max_at(config.n) / profile.sigma_hat_sq_min_at(config.n)
-    return profile.kappa_sq_at(config.n)
-
-
 def run_ensemble(
     system: LinearSystem,
     config: PursuitConfig,
@@ -276,29 +273,25 @@ def run_ensemble(
     collect_error_vectors: bool = False,
     keep_traces: bool = False,
 ) -> EnsembleReport:
-    """Run independent pursuits sharing x0 and x_star, seed-split per member."""
+    """Run independent pursuits sharing x0, x_star and one subset table,
+    seed-split per member."""
     if members < 1:
         raise ValueError("need at least one member")
     _validate_run(system, config)
     if system.x_star is None:
         raise ValueError("ensembles track error to a known solution")
 
-    profile = build_spectral_profile(
-        system.A, config.n, include_vol_max=config.sampler == "uniform"
-    )
-    kappa_sq = effective_kappa_sq(system, config, profile)
+    profile = build_spectral_profile(system.A, config.n)
+    table = build_volume_distribution(system.A, config.n)
+    if config.sampler == "uniform":
+        # vol_n gives way to vol_n_max = C(M, n) * v_sq_max for uniform draws
+        vol_max = math.comb(system.M, config.n) * table.v_sq_max
+        kappa_sq = vol_max / profile.sigma_hat_sq_min_at(config.n)
+    else:
+        kappa_sq = profile.kappa_sq_at(config.n)
     lower_factor, upper_factor = rate_bounds(kappa_sq, 1)
 
-    x0 = _draw_x0(system, config)
-    member_config = replace(
-        config, x0=x0, record_iterates=config.record_iterates or collect_error_vectors
-    )
-    shared_dist = None
-    shared_v_sq_max = None
-    if config.sampler == "volume":
-        shared_dist = build_volume_distribution(system.A, config.n)
-    elif config.v_sq_max_mode == "exact":
-        shared_v_sq_max = max_subset_volume(system.A, config.n)
+    member_config = replace(config, x0=_draw_x0(system, config))
     cutoff = PRECISION_CUTOFF * (1.0 + float(system.x_star @ system.x_star))
     iters = config.max_iters
 
@@ -310,8 +303,7 @@ def run_ensemble(
     traces: list[PursuitTrace] | None = [] if keep_traces else None
 
     for m in range(members):
-        trace = run_pursuit(system, member_config, member_index=m,
-                            _dist=shared_dist, _v_sq_max=shared_v_sq_max)
+        trace = run_pursuit(system, member_config, member_index=m, table=table)
         e = trace.errors_sq
         k_run = trace.iters_run
         # Everyone runs the same horizon when stop_tol is tiny; a member

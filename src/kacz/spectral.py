@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import NumericError, RankDeficiencyError
 from .linsys import SpectralDecomposition, singular_spectrum
-from .projectors import make_row_subset, quasi_projector, subset_geometry
-from .sampling import check_enumeration_cap, combinations_colex, max_subset_volume
+from .projectors import make_row_subset, quasi_projector
+from .sampling import build_volume_distribution, check_enumeration_cap, combinations_colex
 from .tolerances import ABS_TOL, psd_clamp_tol
 
 
@@ -62,12 +62,7 @@ def vol_sequence(G: np.ndarray, n_max: int) -> np.ndarray:
 
 def brute_force_vol(A: np.ndarray, n: int) -> float:
     """Enumerated sum of squared subset volumes (oracle for vol_sequence)."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    check_enumeration_cap(A.shape[0], n)
-    return sum(
-        subset_geometry(make_row_subset(A, idx)).v_sq
-        for idx in combinations_colex(A.shape[0], n)
-    )
+    return build_volume_distribution(A, n).vol_n
 
 
 def brute_force_phi(A: np.ndarray, n: int) -> np.ndarray:
@@ -179,8 +174,7 @@ class SpectralProfile:
 
     Row n-1 of the grade-indexed arrays describes the n-row pursuit:
     transformed eigenvalues (aligned with the descending sigma_sq),
-    condition number, and minimizing eigenvector. vol_max, when present,
-    is C(M,n) * v_sq_max from exact enumeration.
+    condition number, and minimizing eigenvector.
     """
 
     decomposition: SpectralDecomposition
@@ -189,7 +183,6 @@ class SpectralProfile:
     phi_eigs: np.ndarray
     kappa_sq: np.ndarray
     v_min: np.ndarray
-    vol_max: np.ndarray | None = None
 
     def phi_eigs_at(self, n: int) -> np.ndarray:
         return self.phi_eigs[n - 1]
@@ -202,11 +195,6 @@ class SpectralProfile:
 
     def v_min_at(self, n: int) -> np.ndarray:
         return self.v_min[n - 1]
-
-    def vol_max_at(self, n: int) -> float:
-        if self.vol_max is None:
-            raise ValueError("profile was built without vol_max")
-        return float(self.vol_max[n - 1])
 
 
 def build_profile_from_decomposition(
@@ -238,26 +226,7 @@ def build_profile_from_decomposition(
     )
 
 
-def build_spectral_profile(
-    A: np.ndarray, n_max: int, include_vol_max: bool = False
-) -> SpectralProfile:
-    """Full transform table for a matrix, optionally with uniform-draw
-    volume ceilings (which require enumerating subsets of A's rows)."""
+def build_spectral_profile(A: np.ndarray, n_max: int) -> SpectralProfile:
+    """Full transform table for a matrix."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    profile = build_profile_from_decomposition(singular_spectrum(A), n_max)
-    if not include_vol_max:
-        return profile
-    M = A.shape[0]
-    vol_max = np.array([
-        check_enumeration_cap(M, n) * max_subset_volume(A, n)
-        for n in range(1, n_max + 1)
-    ])
-    return SpectralProfile(
-        decomposition=profile.decomposition,
-        n_max=n_max,
-        vols=profile.vols,
-        phi_eigs=profile.phi_eigs,
-        kappa_sq=profile.kappa_sq,
-        v_min=profile.v_min,
-        vol_max=vol_max,
-    )
+    return build_profile_from_decomposition(singular_spectrum(A), n_max)

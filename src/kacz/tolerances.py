@@ -9,15 +9,6 @@ import numpy as np
 #: Absolute tolerance for matrix identities (idempotency, symmetry, traces).
 ABS_TOL = 1e-10
 
-#: Relative tolerance for scalar identities (volumes, trace sums).
-REL_TOL = 1e-10
-
-#: Max-abs tolerance on eigenvector orthonormality.
-ORTH_TOL = 1e-10
-
-#: Tolerance for the recursive projector expansion against the direct form.
-RECURSION_TOL = 1e-9
-
 #: Consistency check scale for A @ x_star against b (scaled by 1 + ||b||_inf).
 CONSISTENCY_TOL = 1e-8
 

@@ -239,7 +239,7 @@ def test_criterion_08_alignment_lower_bound(gauss_system):
 
 def test_criterion_09_uniform_scheme():
     system = synth_system(10, 6, seed=UNIFORM_10x6_SEED, decay="gaussian")
-    profile = build_spectral_profile(system.A, 3, include_vol_max=True)
+    profile = build_spectral_profile(system.A, 3)
     x_star = system.x_star
 
     # per-step transfer identity, both relaxation branches, exact v^2 max
@@ -276,7 +276,7 @@ def test_criterion_09_uniform_scheme():
             x_next = relaxed_step(x_k, S, system.b[list(idx)], mu)
             e = x_next - x_star
             gains[r] = float(e @ e) / err_k
-        bound = 1.0 - profile.sigma_hat_sq_min_at(n) / profile.vol_max_at(n)
+        bound = 1.0 - profile.sigma_hat_sq_min_at(n) / (math.comb(10, n) * v_max)
         se = gains.std(ddof=1) / math.sqrt(gains.size)
         assert gains.mean() <= bound + 3 * se
         margins.append(f"n={n}: {gains.mean():.4f} <= {bound:.4f}+3SE")

@@ -15,6 +15,7 @@ from kacz.sampling import (
     combinations_colex,
     draw_uniform,
     draw_volume,
+    draw_volume_row,
     max_subset_volume,
     relaxation_factor,
 )
@@ -42,21 +43,23 @@ class TestColexEnumeration:
 class TestVolumeDistribution:
     def test_reference_pairs_equal_weight(self, reference_A):
         dist = build_volume_distribution(reference_A, 2)
-        assert len(dist.entries) == 3
-        for _, v_sq, _ in dist.entries:
+        assert len(dist.v_sq) == 3
+        for v_sq in dist.v_sq:
             assert v_sq == pytest.approx(1.0, abs=1e-12)
         assert dist.vol_n == pytest.approx(3.0, abs=1e-10)
         assert dist.v_sq_max == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_rows_norm_probabilities(self, reference_A):
         dist = build_volume_distribution(reference_A, 1)
-        probs = [v / dist.vol_n for _, v, _ in dist.entries]
+        probs = [v / dist.vol_n for v in dist.v_sq]
         assert probs == pytest.approx([0.25, 0.25, 0.5], abs=1e-12)
 
     def test_rank_deficient_rejected(self):
         A = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
+        dist = build_volume_distribution(A, 2)
+        assert dist.vol_n == 0.0 and dist.v_sq_max == 0.0
         with pytest.raises(RankDeficiencyError):
-            build_volume_distribution(A, 2)
+            draw_volume(dist, Xoshiro256StarStar(0))
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -66,8 +69,8 @@ class TestVolumeDistribution:
         A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         dist = build_volume_distribution(A, 2)
         # pair (0,1) is dependent and must be absent
-        assert all(idx != (0, 1) for idx, _, _ in dist.entries)
-        assert len(dist.entries) == 2
+        assert all(tuple(idx) != (0, 1) for idx in dist.indices)
+        assert len(dist.indices) == 2
 
     @given(st.integers(0, 10_000), st.integers(1, 4))
     def test_normalizer_matches_trace_formula(self, seed, n):
@@ -78,6 +81,29 @@ class TestVolumeDistribution:
 
 
 class TestDrawVolume:
+    def test_matches_sequential_sum_and_bisection(self):
+        """The table's cumulative weights and searchsorted draw equal a
+        running Python sum and a bisection over it, bit for bit."""
+        A = np.random.default_rng(21).standard_normal((8, 4))
+        dist = build_volume_distribution(A, 2)
+        running, cumulative = 0.0, []
+        for v_sq in dist.v_sq.tolist():
+            running += v_sq
+            cumulative.append(running)
+        assert dist.cumulative.tolist() == cumulative
+        assert dist.vol_n == running
+        g1, g2 = Xoshiro256StarStar(4), Xoshiro256StarStar(4)
+        for _ in range(2000):
+            target = g2.random() * running
+            lo, hi = 0, len(cumulative) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cumulative[mid] <= target:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            assert draw_volume_row(dist, g1) == lo
+
     def test_degenerate_distribution(self):
         A = np.array([[2.0, 0.0], [0.0, 0.0]])  # second row zero: one entry
         dist = build_volume_distribution(A, 1)

@@ -1,9 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kacz.errors import DependentSubsetError
+import kacz.projectors
+import kacz.sampling
+import kacz.solver
+from kacz.errors import DependentSubsetError, RankDeficiencyError
 from kacz.linsys import make_linear_system, synth_system
 from kacz.projectors import make_row_subset, quasi_projector, subset_geometry
 from kacz.rng import Xoshiro256StarStar
@@ -297,3 +303,99 @@ class TestRunEnsemble:
             # first draw always becomes the running max, so the first step is
             # a full projection (or a no-op if the draw was dependent)
             assert trace.mus[0] in (0.0, 1.0)
+
+
+def _count_geometry(monkeypatch) -> list:
+    """Record every subset_geometry call, at each module that binds it."""
+    calls = []
+    original = kacz.projectors.subset_geometry
+
+    def counted(S):
+        calls.append(S.indices)
+        return original(S)
+
+    for module in (kacz.projectors, kacz.sampling, kacz.solver):
+        monkeypatch.setattr(module, "subset_geometry", counted)
+    return calls
+
+
+class TestSubsetTableReuse:
+    """One enumeration of grade n per (A, n), and one geometry per uniform step."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sampler, mode, vmax_mode, geometry_per_step", [
+        ("uniform", "undershoot", "exact", 1), ("uniform", "overshoot", "exact", 1),
+        ("uniform", "undershoot", "running", 1), ("volume", "undershoot", "exact", 0),
+    ])
+    def test_ensemble_enumerates_grade_n_once(self, monkeypatch, n, sampler, mode,
+                                              vmax_mode, geometry_per_step):
+        system = synth_system(9, 5, seed=13)
+        config = PursuitConfig(n=n, sampler=sampler, relax_mode=mode,
+                               v_sq_max_mode=vmax_mode, master_seed=7, max_iters=10,
+                               stop_tol=1e-300)
+        calls = _count_geometry(monkeypatch)
+        run_ensemble(system, config, members=3)
+        assert len(calls) == math.comb(9, n) + geometry_per_step * 3 * 10
+
+    def test_rank_below_grade(self, monkeypatch):
+        # rank 2 < n = 3: no subset has volume, so v_sq_max = 0
+        A = np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 0.5]) + np.outer(np.ones(6), [0.0, 1.0, 1.0])
+        system = make_linear_system(A, x_star=[1.0, -1.0, 2.0])
+        calls = _count_geometry(monkeypatch)
+        assert max_subset_volume(A, 3) == 0.0
+        assert len(calls) == math.comb(6, 3)
+
+        del calls[:]
+        uniform = PursuitConfig(n=3, sampler="uniform", master_seed=1, max_iters=12,
+                                stop_tol=1e-300)
+        trace = run_pursuit(system, uniform)
+        assert len(calls) == math.comb(6, 3) + 12
+        assert (trace.mus == 0.0).all()
+        assert (trace.errors_sq == trace.errors_sq[0]).all()
+
+        del calls[:]
+        with pytest.raises(RankDeficiencyError):
+            run_pursuit(system, replace(uniform, sampler="volume"))
+        assert len(calls) == math.comb(6, 3)
+
+
+# Draws and relaxation factors of member 0 under master seed 7 on
+# synth_system(9, 5, seed=13) with n = 2. They are part of the replay
+# contract: the stream, the seed split, colex order and the inverse-CDF draw
+# fix them, so no rewrite of the samplers or the step may move them.
+_PINNED_DRAWS = {
+    "volume": [(7, 8), (1, 7), (4, 6), (0, 6), (4, 6), (3, 8), (1, 8), (5, 6), (2, 8), (1, 6)],
+    "uniform": [(5, 8), (0, 4), (4, 7), (5, 6), (4, 7), (2, 5), (0, 7), (0, 6), (1, 6), (4, 8)],
+}
+_PINNED_MUS = {
+    ("undershoot", "exact"): [
+        0.35161292794578847, 0.06223147658890493, 0.10120993715013915, 0.24954518210538645,
+        0.10120993715013915, 0.11524144527600699, 0.05071421541103993, 0.29918121071112336,
+        0.1546844736932954, 0.11011156049017379],
+    ("overshoot", "exact"): [
+        1.6483870720542115, 1.937768523411095, 1.8987900628498608, 1.7504548178946135,
+        1.8987900628498608, 1.8847585547239931, 1.9492857845889602, 1.7008187892888766,
+        1.8453155263067047, 1.8898884395098263],
+    ("undershoot", "running"): [
+        1.0, 0.1100897237482612, 0.18242470841275438, 0.5036745338075252,
+        0.18242470841275438, 0.20927180130414225, 0.08926489737030352, 0.65063923222793,
+        0.2875993828340463, 0.19940136910516293],
+}
+
+
+class TestPinnedReplay:
+    @staticmethod
+    def _trace(**overrides):
+        config = PursuitConfig(n=2, master_seed=7, max_iters=10, stop_tol=1e-300, **overrides)
+        return run_pursuit(synth_system(9, 5, seed=13), config)
+
+    def test_volume_draws(self):
+        trace = self._trace(sampler="volume")
+        assert trace.draws == _PINNED_DRAWS["volume"]
+        assert trace.mus is None
+
+    @pytest.mark.parametrize("mode, vmax_mode", sorted(_PINNED_MUS))
+    def test_uniform_draws_and_mus(self, mode, vmax_mode):
+        trace = self._trace(sampler="uniform", relax_mode=mode, v_sq_max_mode=vmax_mode)
+        assert trace.draws == _PINNED_DRAWS["uniform"]
+        assert trace.mus.tolist() == pytest.approx(_PINNED_MUS[mode, vmax_mode], rel=1e-12)

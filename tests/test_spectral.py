@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kacz.errors import EnumerationCapError, RankDeficiencyError
 from kacz.linsys import gram, singular_spectrum
+from kacz.sampling import max_subset_volume
 from kacz.spectral import (
     brute_force_phi,
     brute_force_vol,
@@ -267,15 +268,16 @@ class TestGramInverse:
 
 class TestSpectralProfile:
     def test_reference_profile(self, reference_A):
-        profile = build_spectral_profile(reference_A, 2, include_vol_max=True)
+        profile = build_spectral_profile(reference_A, 2)
+        vol_max = math.comb(3, 2) * max_subset_volume(reference_A, 2)
         assert np.allclose(profile.vols, [1.0, 4.0, 3.0], atol=ATOL)
         assert profile.kappa_sq_at(1) == pytest.approx(4.0, abs=ATOL)
         assert profile.kappa_sq_at(2) == pytest.approx(1.0, abs=ATOL)
         assert profile.sigma_hat_sq_min_at(1) == pytest.approx(1.0, abs=ATOL)
         # v^2 max over pairs is 1; C(3,2) = 3
-        assert profile.vol_max_at(2) == pytest.approx(3.0, abs=ATOL)
+        assert vol_max == pytest.approx(3.0, abs=ATOL)
         # vol_n <= vol_n_max
-        assert profile.vols[2] <= profile.vol_max_at(2) + ATOL
+        assert profile.vols[2] <= vol_max + ATOL
 
     def test_v_min_is_minimizing_eigenvector(self):
         A = np.random.default_rng(3).standard_normal((8, 5))
