@@ -55,6 +55,7 @@ from .spectral import (
     brute_force_phi,
     brute_force_vol,
     build_spectral_profile,
+    elementary_symmetric,
     expected_projector,
     grade_condition_number,
     gram_inverse_via_phi,
@@ -62,6 +63,7 @@ from .spectral import (
     total_quasi_projector,
     transform_singular_values,
     vol_sequence,
+    volume_sum,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from .linsys import (
     SpectralDecomposition,
     _fmt,
     exponential_sv_schedule,
-    gram,
     linear_sv_schedule,
     load_matrix,
     load_system,
@@ -31,7 +30,7 @@ from .spectral import (
     brute_force_vol,
     build_profile_from_decomposition,
     build_spectral_profile,
-    vol_sequence,
+    volume_sum,
 )
 
 EXIT_NUMERIC = 1
@@ -126,7 +125,7 @@ def cmd_volumes(args) -> None:
     A = load_matrix(args.matrix)
     if not 1 <= args.n <= A.shape[1]:
         raise ValueError(f"--n must be in [1, N={A.shape[1]}], got {args.n}")
-    vol_n = float(vol_sequence(gram(A), args.n)[args.n])
+    vol_n = volume_sum(singular_spectrum(A).sigma_sq, args.n)
     if args.brute_force:
         enum = brute_force_vol(A, args.n)
         diff = abs(vol_n - enum)

@@ -1,14 +1,15 @@
 """Spectral calculus of averaged subset projectors.
 
-The sum of quasi projectors over all n-subsets is a degree-n polynomial in
-the Gram matrix, built by the recursion below with each level's volume sum
-recovered from the trace. Everything downstream (transformed singular
-values, grade condition numbers, rate bounds) reads off that polynomial.
-Brute-force enumeration oracles cross-check the recursion at desk scale.
+The sum phi_n of quasi projectors over all n-subsets has the eigenvectors
+of the Gram matrix and eigenvalues sigma_hat_j^2 = sigma_j^2 e_{n-1}(sigma^2
+without j); vol_n = e_n(sigma^2), with e_k the elementary symmetric
+polynomials (ESPs). Every grade quantity is read off one ESP core. The
+paper's matrix recursion and enumeration stay as the tests' oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import NumericError, RankDeficiencyError
 from .linsys import SpectralDecomposition, singular_spectrum
 from .projectors import make_row_subset, quasi_projector
 from .sampling import build_volume_distribution, check_enumeration_cap, combinations_colex
-from .tolerances import ABS_TOL, psd_clamp_tol
+from .tolerances import psd_clamp_tol
 
 
 def _check_square(G: np.ndarray) -> np.ndarray:
@@ -75,49 +76,50 @@ def brute_force_phi(A: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def transform_singular_values(sigma_sq, vols, n: int) -> np.ndarray:
-    """Degree-n polynomial transform of squared singular values.
-
-    Evaluates sum_p (-1)^(p-1) vols[n-p] x^p by Horner's rule; values that
-    round slightly negative (within ABS_TOL of the vol_n scale) clamp to 0.
+def elementary_symmetric(sigma_sq, n_max: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """e[k] = e_k(x) for k <= n_max, loo[j, k] = e_k(x without x_j) for
+    k < n_max, and p, where x = sigma_sq / 2**p and 2**p is the largest power
+    of two not above max(sigma_sq): scaling is exact, x lies in [0, 2) and a
+    grade-n value is ldexp(value, n * p). Every term of e_k += x_i e_{k-1}
+    is nonnegative, so nothing cancels (Kulesza & Taskar 2012, sec. 5.2):
+    row i of the table skips x_i, never subtracts it; the last skips none.
     """
     sigma_sq = np.asarray(sigma_sq, dtype=np.float64)
-    vols = np.asarray(vols, dtype=np.float64)
-    if n < 1:
-        raise ValueError("transform grade must be at least 1")
-    if vols.shape[0] < n:
-        raise ValueError(f"need vols[0..{n - 1}], got {vols.shape[0]} values")
-    acc = np.full_like(sigma_sq, vols[0])
-    for p in range(1, n):
-        acc = vols[p] - sigma_sq * acc
-    out = sigma_sq * acc
-    scale = float(vols[n]) if vols.shape[0] > n else float(np.max(np.abs(out), initial=0.0))
-    out[(out < 0.0) & (out >= -ABS_TOL * scale)] = 0.0
-    return out
+    p = math.frexp(float(np.max(sigma_sq, initial=0.0)))[1] - 1
+    table = np.zeros((sigma_sq.size + 1, n_max + 1))
+    table[:, 0] = 1.0
+    for i, xi in enumerate(np.ldexp(sigma_sq, -p)):
+        update = xi * table[:, :-1]
+        update[i] = 0.0
+        table[:, 1:] += update
+    return table[-1], table[:-1, :n_max], p
 
 
-def grade_condition_number(sigma_sq, vols, n: int) -> float:
-    """vol_n over the smallest transformed value among positive branches.
+def volume_sum(sigma_sq, n: int) -> float:
+    """vol_n = e_n(sigma^2), the sum of squared n-subset volumes (Cauchy-Binet)."""
+    e, _, p = elementary_symmetric(sigma_sq, n)
+    with np.errstate(over="ignore"):
+        vol = float(np.ldexp(e[n], n * p))
+    if not math.isfinite(vol):
+        raise NumericError(f"vol_{n} does not fit in a double")
+    return vol
 
-    Zero singular values are excluded: the error component in the null
-    space of A is invariant under every step, so only positive branches
-    constrain the rate. Raises when the rank is below the grade.
-    """
+
+def _diagonal_profile(sigma_sq, n: int) -> SpectralProfile:
     sigma_sq = np.asarray(sigma_sq, dtype=np.float64)
-    vols = np.asarray(vols, dtype=np.float64)
-    vol_n = float(vols[n])
-    positive = sigma_sq[sigma_sq > psd_clamp_tol(sigma_sq.shape[0], float(np.max(sigma_sq, initial=0.0)))]
-    if positive.size == 0:
-        raise RankDeficiencyError("matrix has no positive singular values")
-    transformed = transform_singular_values(positive, vols, n)
-    if float(np.min(transformed)) < -ABS_TOL * vol_n:
-        raise NumericError(
-            f"transformed value {np.min(transformed):.3e} is negative beyond tolerance"
-        )
-    sigma_hat_min = float(np.min(np.maximum(transformed, 0.0)))
-    if sigma_hat_min <= 0.0:
-        raise RankDeficiencyError(f"all grade-{n} transformed values vanish (rank < {n})")
-    return vol_n / sigma_hat_min
+    decomp = SpectralDecomposition(sigma_sq=sigma_sq, V=np.eye(sigma_sq.size))
+    return build_profile_from_decomposition(decomp, n)
+
+
+def transform_singular_values(sigma_sq, n: int) -> np.ndarray:
+    """sigma_hat_j^2 = sigma_j^2 e_{n-1}(sigma^2 without j), aligned with
+    sigma_sq: the eigenvalues of phi_n, the paper's degree-n transform."""
+    return _diagonal_profile(sigma_sq, n).phi_eigs_at(n)
+
+
+def grade_condition_number(sigma_sq, n: int) -> float:
+    """vol_n over the smallest transformed value among positive branches."""
+    return _diagonal_profile(sigma_sq, n).kappa_sq_at(n)
 
 
 def expected_projector(G: np.ndarray, n: int) -> np.ndarray:
@@ -170,15 +172,9 @@ def gram_inverse_via_phi(G: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """Grade-by-grade transform table for one matrix.
+    """Grade table of one matrix: row n-1 of each array is the n-row pursuit's
+    transformed values (aligned with sigma_sq), kappa^2_n and v_min."""
 
-    Row n-1 of the grade-indexed arrays describes the n-row pursuit:
-    transformed eigenvalues (aligned with the descending sigma_sq),
-    condition number, and minimizing eigenvector.
-    """
-
-    decomposition: SpectralDecomposition
-    n_max: int
     vols: np.ndarray
     phi_eigs: np.ndarray
     kappa_sq: np.ndarray
@@ -200,30 +196,36 @@ class SpectralProfile:
 def build_profile_from_decomposition(
     decomp: SpectralDecomposition, n_max: int
 ) -> SpectralProfile:
-    """Profile for a known spectrum; the Gram matrix is reconstituted in
-    its eigenbasis so volumes follow the one canonical recursion."""
+    """Profile for a known spectrum from one pass over the ESP core. kappa^2_n
+    and v_min read only branches above the PSD clamp, since the error in the
+    null space of A never changes. Raises NumericError when a grade's vol_n,
+    sigma_hat_sq_min or kappa^2_n is not a finite, normal, positive double."""
     sigma_sq = np.asarray(decomp.sigma_sq, dtype=np.float64)
     N = sigma_sq.shape[0]
     if not 1 <= n_max <= N:
         raise ValueError(f"need 1 <= n_max <= N={N}, got {n_max}")
-    vols = vol_sequence(np.diag(sigma_sq), n_max)
-    positive_mask = sigma_sq > psd_clamp_tol(N, float(np.max(sigma_sq, initial=0.0)))
-    phi_eigs = np.empty((n_max, N))
-    kappa_sq = np.empty(n_max)
-    v_min = np.empty((n_max, N))
-    for n in range(1, n_max + 1):
-        phi_eigs[n - 1] = transform_singular_values(sigma_sq, vols, n)
-        kappa_sq[n - 1] = grade_condition_number(sigma_sq, vols, n)
-        masked = np.where(positive_mask, phi_eigs[n - 1], np.inf)
-        v_min[n - 1] = decomp.V[:, int(np.argmin(masked))]
-    return SpectralProfile(
-        decomposition=decomp,
-        n_max=n_max,
-        vols=vols,
-        phi_eigs=phi_eigs,
-        kappa_sq=kappa_sq,
-        v_min=v_min,
-    )
+    e, loo, p = elementary_symmetric(sigma_sq, n_max)
+    if e[n_max] == 0.0:
+        rank = np.count_nonzero(sigma_sq)
+        raise RankDeficiencyError(f"all grade-{n_max} subset volumes vanish (rank {rank})")
+    positive = sigma_sq > psd_clamp_tol(N, float(np.max(sigma_sq)))
+    hats = np.ldexp(sigma_sq, -p) * loo.T
+    masked = np.where(positive, hats, np.inf)
+    hat_min = np.min(masked, axis=1)
+    grades = np.arange(n_max + 1)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        kappa_sq = e[1:] / hat_min  # a ratio of scaled ESPs: the scale cancels
+        vols = np.ldexp(e, grades * p)
+        phi_eigs = np.ldexp(hats, grades[1:, None] * p)
+        checked = {"vol_n": vols[1:], "sigma_hat_sq_min": np.ldexp(hat_min, grades[1:] * p),
+                   "kappa_sq": kappa_sq}
+    for name, values in checked.items():
+        bad = np.flatnonzero(~((values >= np.finfo(np.float64).tiny) & np.isfinite(values)))
+        if bad.size:
+            raise NumericError(f"grade {bad[0] + 1}: {name} = {values[bad[0]]:.3e} "
+                               f"is not a finite, normal, positive double")
+    v_min = decomp.V[:, np.argmin(masked, axis=1)].T
+    return SpectralProfile(vols, phi_eigs, kappa_sq, v_min)
 
 
 def build_spectral_profile(A: np.ndarray, n_max: int) -> SpectralProfile:

@@ -6,9 +6,6 @@ library and the test suite so that acceptance thresholds live in one place.
 
 import numpy as np
 
-#: Absolute tolerance for matrix identities (idempotency, symmetry, traces).
-ABS_TOL = 1e-10
-
 #: Consistency check scale for A @ x_star against b (scaled by 1 + ||b||_inf).
 CONSISTENCY_TOL = 1e-8
 

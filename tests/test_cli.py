@@ -4,10 +4,11 @@ import sys
 import numpy as np
 import pytest
 
+import kacz.spectral
 from kacz.cli import main
-from kacz.linsys import save_matrix, save_vector
+from kacz.linsys import save_matrix, save_vector, singular_spectrum
 
-from conftest import REFERENCE_A, REFERENCE_X_STAR
+from conftest import REFERENCE_A, REFERENCE_X_STAR, exact_esp, exact_hats, rel_err
 
 
 @pytest.fixture
@@ -209,6 +210,69 @@ class TestEnsemble:
         )
         assert code == 0
         assert len(text.strip().split("\n")) == 6
+
+
+class TestSpectralScalarRegressions:
+    """Commands that the alternating-polynomial path got wrong."""
+
+    def test_exponential_transform_normalized_at_most_one(self, tmp_path):
+        code, text = run_cli(
+            ["transform", "--synthetic", "16", "--decay", "exponential_sv"], tmp_path
+        )
+        assert code == 0
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+        assert len(rows) == 16 * 16
+        assert max(float(r[4]) for r in rows) <= 1.0
+
+    def test_gaussian_400x60_spectrum_matches_exact(self, tmp_path):
+        A = np.random.default_rng(11).standard_normal((400, 60))
+        mpath = tmp_path / "gauss.csv"
+        save_matrix(str(mpath), A)
+        code, text = run_cli(["spectrum", str(mpath)], tmp_path)
+        assert code == 0
+        sigma_sq = singular_spectrum(A).sigma_sq
+        e = exact_esp(sigma_sq, 60)
+        # the smallest branch holds the minimum transformed value
+        hat_min = exact_hats(sigma_sq, 59, 60)
+        rows = [[float(tok) for tok in line.split(",")] for line in text.strip().split("\n")[1:]]
+        assert len(rows) == 60
+        for n, vol, hat, kappa, _ in rows:
+            n = int(n)
+            assert rel_err(vol, e[n]) <= 1e-13
+            assert rel_err(hat, hat_min[n - 1]) <= 1e-13
+            assert rel_err(kappa, e[n] / hat_min[n - 1]) <= 1e-13
+
+    def test_overflowing_grade_fails_without_nan(self, tmp_path, capsys):
+        # sigma^2 = 2^200 eight times: vol_n = C(8, n) 2^(200 n) first
+        # leaves the double range at n = 6.
+        mpath = tmp_path / "big.csv"
+        save_matrix(str(mpath), 2.0**100 * np.eye(8))
+        code = main(["spectrum", str(mpath)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "nan" not in captured.out.lower()
+        assert "grade 6" in captured.err
+
+    def test_no_command_reaches_the_trace_recursion(self, reference_files, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("production path reached the trace recursion")
+
+        monkeypatch.setattr(kacz.spectral, "_phi_levels", forbidden)
+        monkeypatch.setattr(kacz.spectral, "vol_sequence", forbidden)
+        mpath, spath = reference_files
+        commands = [
+            ["spectrum", mpath],
+            ["transform", mpath],
+            ["transform", "--synthetic", "6", "--decay", "linear_sv"],
+            ["volumes", mpath, "--n", "2", "--brute-force"],
+            ["solve", mpath, "--solution", spath, "--n", "2", "--max-iters", "5"],
+            ["ensemble", "--synthetic", "6", "4", "--n-list", "1,2", "--members", "2",
+             "--iters", "5", "--align-vmin"],
+            ["ensemble", "--synthetic", "6", "4", "--n-list", "2", "--members", "2",
+             "--iters", "5", "--sampler", "uniform"],
+        ]
+        for args in commands:
+            assert run_cli(args, tmp_path)[0] == 0, args
 
 
 class TestEntryPoint:

@@ -6,11 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kacz.errors import EnumerationCapError, RankDeficiencyError
-from kacz.linsys import gram, singular_spectrum
+from kacz.linsys import (
+    SpectralDecomposition,
+    exponential_sv_schedule,
+    gram,
+    linear_sv_schedule,
+    singular_spectrum,
+)
 from kacz.sampling import max_subset_volume
 from kacz.spectral import (
     brute_force_phi,
     brute_force_vol,
+    build_profile_from_decomposition,
     build_spectral_profile,
     expected_projector,
     grade_condition_number,
@@ -21,11 +28,20 @@ from kacz.spectral import (
     vol_sequence,
 )
 
+from conftest import exact_esp, exact_hats, rel_err
+
 ATOL = 1e-10
 
 
 def reference_G():
     return np.array([[2.0, 1.0], [1.0, 2.0]])
+
+
+def alternating_transform(sigma_sq, vols, n: int) -> np.ndarray:
+    """The paper's degree-n polynomial sum_p (-1)^(p-1) vols[n-p] x^p
+    (oracle: its alternating terms cancel, so it is exact only at desk scale)."""
+    x = np.asarray(sigma_sq, dtype=np.float64)
+    return sum((-1.0) ** (p - 1) * vols[n - p] * x**p for p in range(1, n + 1))
 
 
 class TestTotalQuasiProjector:
@@ -62,7 +78,7 @@ class TestTotalQuasiProjector:
         G = gram(A)
         vols = vol_sequence(G, n)
         eigs_phi = np.sort(np.linalg.eigvalsh(total_quasi_projector(G, n)))[::-1]
-        transformed = np.sort(transform_singular_values(singular_spectrum(A).sigma_sq, vols, n))[::-1]
+        transformed = np.sort(transform_singular_values(singular_spectrum(A).sigma_sq, n))[::-1]
         assert np.max(np.abs(eigs_phi - transformed)) <= 1e-9 * vols[n]
 
 
@@ -124,63 +140,53 @@ class TestBruteForce:
 
 class TestTransform:
     def test_reference_value_by_hand(self, reference_A):
-        vols = vol_sequence(reference_G(), 2)
-        # 4 * 3 - 9 = 3; oracle: eigenvalues of the enumerated total
-        got = transform_singular_values([3.0], vols, 2)
+        # sigma^2 = (3, 1): 3 * e_1(1) = 3; oracle: eigenvalues of the enumerated total
+        got = transform_singular_values([3.0, 1.0], 2)
         assert got[0] == pytest.approx(3.0, abs=ATOL)
         oracle = np.linalg.eigvalsh(brute_force_phi(reference_A, 2))
         assert got[0] == pytest.approx(oracle.max(), abs=ATOL)
 
     def test_zero_maps_to_zero(self):
-        vols = np.array([1.0, 10.0, 20.0, 5.0])
         for n in (1, 2, 3):
-            assert transform_singular_values([0.0], vols, n)[0] == 0.0
+            assert transform_singular_values([0.0, 1.0, 2.0, 3.0], n)[0] == 0.0
 
     def test_grade_one_is_identity(self):
         sigma = np.array([0.3, 2.0, 5.5])
-        got = transform_singular_values(sigma, np.array([1.0]), 1)
+        got = transform_singular_values(sigma, 1)
         assert np.array_equal(got, sigma)
 
     @given(st.integers(0, 10_000), st.integers(1, 5))
-    def test_horner_matches_power_sum(self, seed, n):
-        rng = np.random.default_rng(seed)
-        sigma_sq = rng.uniform(0.0, 3.0, size=6)
-        vols = np.abs(rng.uniform(0.5, 4.0, size=n + 1))
-        direct = sum(
-            (-1.0) ** (p - 1) * vols[n - p] * sigma_sq**p for p in range(1, n + 1)
-        )
-        got = transform_singular_values(sigma_sq, vols, n)
+    def test_esp_matches_alternating_polynomial(self, seed, n):
+        sigma_sq = np.random.default_rng(seed).uniform(0.0, 3.0, size=6)
+        direct = alternating_transform(sigma_sq, vol_sequence(np.diag(sigma_sq), n), n)
+        got = transform_singular_values(sigma_sq, n)
         mask = direct >= 0
         assert np.allclose(got[mask], direct[mask], rtol=1e-9, atol=1e-12)
 
 
 class TestGradeConditionNumber:
     def test_reference_values(self, reference_A):
-        vols = vol_sequence(reference_G(), 2)
         sigma_sq = singular_spectrum(reference_A).sigma_sq
-        assert grade_condition_number(sigma_sq, vols, 1) == pytest.approx(4.0, abs=ATOL)
-        assert grade_condition_number(sigma_sq, vols, 2) == pytest.approx(1.0, abs=ATOL)
+        assert grade_condition_number(sigma_sq, 1) == pytest.approx(4.0, abs=ATOL)
+        assert grade_condition_number(sigma_sq, 2) == pytest.approx(1.0, abs=ATOL)
 
     @given(st.integers(2, 8), st.integers(1, 8))
     def test_identity_closed_form(self, N, n):
         if n > N:
             return
-        vols = vol_sequence(np.eye(N), n)
-        kappa = grade_condition_number(np.ones(N), vols, n)
+        kappa = grade_condition_number(np.ones(N), n)
         assert kappa == pytest.approx(N / n, rel=1e-12)
 
     def test_rank_deficiency_raises(self):
         A = np.outer(np.arange(1.0, 5.0), [1.0, 2.0])  # rank 1
         sigma_sq = singular_spectrum(A).sigma_sq
-        vols = vol_sequence(gram(A), 2)
         with pytest.raises(RankDeficiencyError):
-            grade_condition_number(sigma_sq, vols, 2)
+            grade_condition_number(sigma_sq, 2)
 
     @given(st.integers(0, 10_000), st.integers(1, 5))
     def test_at_least_one(self, seed, n):
         A = np.random.default_rng(seed).standard_normal((8, 5))
-        vols = vol_sequence(gram(A), n)
-        kappa = grade_condition_number(singular_spectrum(A).sigma_sq, vols, n)
+        kappa = grade_condition_number(singular_spectrum(A).sigma_sq, n)
         assert kappa >= 1.0 - 1e-10
 
 
@@ -297,3 +303,56 @@ class TestSpectralProfile:
             assert normalized.min() >= -1e-12
             assert normalized.max() <= 1.0 + 1e-10
             assert normalized.sum() == pytest.approx(n, rel=1e-10)
+
+
+EXACT_RTOL = 1e-13
+EXACT_SPECTRA = {
+    "exp16": lambda: exponential_sv_schedule(16) ** 2,
+    "exp32": lambda: exponential_sv_schedule(32) ** 2,
+    "linear32": lambda: linear_sv_schedule(32) ** 2,
+    "gauss400x60": lambda: singular_spectrum(
+        np.random.default_rng(7).standard_normal((400, 60))).sigma_sq,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EXACT_SPECTRA))
+def exact_case(request):
+    """Production profile at every grade beside exact ESPs of the same doubles.
+
+    hat_j - hat_i = (s_j - s_i) e_{n-1}(s without i, j) >= 0 when s_j >= s_i,
+    so the smallest positive branch holds the minimum. Small spectra get the
+    full exact leave-one-out table; N = 60 gets that branch and three others.
+    """
+    sigma_sq = np.asarray(EXACT_SPECTRA[request.param](), dtype=np.float64)
+    N = sigma_sq.size
+    profile = build_profile_from_decomposition(SpectralDecomposition(sigma_sq, np.eye(N)), N)
+    last_positive = int(np.flatnonzero(sigma_sq > N * np.finfo(float).eps * sigma_sq[0])[-1])
+    branches = range(N) if N <= 32 else sorted({0, 1, N // 2, last_positive})
+    hats = {j: exact_hats(sigma_sq, j, N) for j in branches}
+    return profile, exact_esp(sigma_sq, N), hats, last_positive
+
+
+class TestExactESP:
+    def test_vol_n(self, exact_case):
+        profile, e, _, _ = exact_case
+        assert max(rel_err(profile.vols[n], e[n]) for n in range(1, len(e))) <= EXACT_RTOL
+
+    def test_transformed_values(self, exact_case):
+        profile, e, hats, _ = exact_case
+        worst = max(rel_err(profile.phi_eigs_at(n)[j], exact[n - 1])
+                    for j, exact in hats.items() for n in range(1, len(e)))
+        assert worst <= EXACT_RTOL
+
+    def test_kappa_sq_and_sigma_hat_min(self, exact_case):
+        profile, e, hats, last_positive = exact_case
+        for n in range(1, len(e)):
+            hat_min = min(hats[j][n - 1] for j in hats if j <= last_positive)
+            assert hat_min == hats[last_positive][n - 1]
+            assert rel_err(profile.kappa_sq_at(n), e[n] / hat_min) <= EXACT_RTOL
+            assert rel_err(profile.sigma_hat_sq_min_at(n), hat_min) <= EXACT_RTOL
+
+    def test_leave_one_out_identity(self, exact_case):
+        # sum_j x_j e_{n-1}(x without j) = n e_n: each n-subset is counted n times
+        profile, e, _, _ = exact_case
+        for n in range(1, len(e)):
+            assert rel_err(np.sum(profile.phi_eigs_at(n)), n * e[n]) <= EXACT_RTOL
