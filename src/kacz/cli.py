@@ -111,12 +111,11 @@ def cmd_transform(args) -> None:
     profile = build_profile_from_decomposition(decomp, max(n_list))
     lines = ["n,j,sigma_sq,sigma_hat_sq,normalized"]
     for n in n_list:
-        hats = profile.phi_eigs_at(n)
-        vol_n = float(profile.vols[n])
+        hats, normalized = profile.phi_eigs_at(n), profile.normalized_at(n)
         for j in range(N):
             lines.append(
                 f"{n},{j + 1},{_fmt(decomp.sigma_sq[j])},{_fmt(hats[j])},"
-                f"{_fmt(hats[j] / vol_n)}"
+                f"{_fmt(normalized[j])}"
             )
     _emit(lines, args.output)
 

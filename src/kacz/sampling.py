@@ -1,11 +1,13 @@
 """Row-subset samplers: the subset table, volume and uniform draws, relaxation.
 
 One colex enumeration per (A, n) builds the subset table (desk scale by
-design): the positive-volume subsets with their squared volumes, the
-cumulative weights volume draws invert, and the Gram matrices steps reuse.
-Its v_sq_max serves the uniform sampler's relaxation and bounds. Uniform
-draws use a partial Fisher-Yates shuffle; the relaxation factor turns them
-into quasi-projector-matched steps.
+design): the positive-volume subsets with their colex ranks and squared
+volumes, the cumulative weights volume draws invert, and the Gram matrices
+steps reuse. Its v_sq_max serves the uniform sampler's relaxation and
+bounds, and its ranks map a uniform draw back to its row. Uniform draws use
+a partial Fisher-Yates shuffle; the relaxation factor turns them into
+quasi-projector-matched steps. Draws and factors come one per generator,
+so a batch of pursuits consumes every stream as a single pursuit would.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ def combinations_colex(M: int, n: int):
             yield rest + (top,)
 
 
+def colex_rank(subset) -> int:
+    """Position of a sorted subset in colex order: sum_i C(c_i, i + 1)."""
+    return sum(math.comb(c, i + 1) for i, c in enumerate(subset))
+
+
 def check_enumeration_cap(M: int, n: int, cap: int = ENUMERATION_CAP) -> int:
     count = math.comb(M, n)
     if count > cap:
@@ -48,15 +55,17 @@ class VolumeDistribution:
     """Subset table of (A, n): every n-subset with positive volume.
 
     Row k holds, in colex order, the subset's row indices indices[k], its
-    squared volume v_sq[k], the running sum cumulative[k] of v_sq[0..k] and
-    its symmetrized Gram matrix G[k] = A_S A_S^T. vol_n is the enumerated
-    normalizer (0 when rank < n, leaving the table empty) and v_sq_max the
-    largest squared volume over all subsets. Arrays are read-only.
+    colex rank ranks[k] (increasing in k), its squared volume v_sq[k], the
+    running sum cumulative[k] of v_sq[0..k] and its symmetrized Gram matrix
+    G[k] = A_S A_S^T. vol_n is the enumerated normalizer (0 when rank < n,
+    leaving the table empty) and v_sq_max the largest squared volume over
+    all subsets. Arrays are read-only.
     """
 
     matrix: np.ndarray
     n: int
     indices: np.ndarray
+    ranks: np.ndarray
     v_sq: np.ndarray
     cumulative: np.ndarray
     G: np.ndarray
@@ -70,29 +79,40 @@ class VolumeDistribution:
                 f"every {self.n}-subset has zero volume (rank < {self.n})"
             )
 
+    def rows_of(self, subsets) -> np.ndarray:
+        """Table row of each sorted subset, or -1 where its volume is zero."""
+        ranks = np.array([colex_rank(s) for s in subsets], dtype=np.int64)
+        if not self.ranks.size:
+            return np.full(ranks.shape, -1)
+        k = np.minimum(np.searchsorted(self.ranks, ranks), self.ranks.size - 1)
+        return np.where(self.ranks[k] == ranks, k, -1)
+
 
 def build_volume_distribution(A: np.ndarray, n: int) -> VolumeDistribution:
     """Enumerate the n-subsets of A's rows once, in colex order."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     count = check_enumeration_cap(A.shape[0], n)
     indices = np.empty((count, n), dtype=np.intp)
+    ranks = np.empty(count, dtype=np.int64)
     v_sq = np.empty(count)
     G = np.empty((count, n, n))
     kept = 0
-    for idx in combinations_colex(A.shape[0], n):
+    for rank, idx in enumerate(combinations_colex(A.shape[0], n)):
         geom = subset_geometry(make_row_subset(A, idx))
         if geom.v_sq > 0.0:
             indices[kept] = idx
+            ranks[kept] = rank
             v_sq[kept] = geom.v_sq
             G[kept] = geom.G_n
             kept += 1
-    for a in (indices, v_sq, G):  # trim in place, without a second copy
+    for a in (indices, ranks, v_sq, G):  # trim in place, without a second copy
         a.resize((kept,) + a.shape[1:], refcheck=False)
     cumulative = np.cumsum(v_sq)
     return VolumeDistribution(
         matrix=A,
         n=n,
         indices=_frozen(indices),
+        ranks=_frozen(ranks),
         v_sq=_frozen(v_sq),
         cumulative=_frozen(cumulative),
         G=_frozen(G),
@@ -101,14 +121,20 @@ def build_volume_distribution(A: np.ndarray, n: int) -> VolumeDistribution:
     )
 
 
-def draw_volume_row(dist: VolumeDistribution, rng: Xoshiro256StarStar) -> int:
-    """Inverse-CDF draw of table row k with probability v_sq[k] / vol_n.
+def draw_volume_rows(dist: VolumeDistribution, rngs) -> np.ndarray:
+    """One inverse-CDF draw per generator in the sequence rngs: table row k
+    with probability v_sq[k] / vol_n, from one unit double of each stream.
 
     The table must be drawable (see VolumeDistribution.check_drawable).
     """
-    target = rng.random() * dist.vol_n
-    k = int(np.searchsorted(dist.cumulative, target, side="right"))
-    return min(k, dist.cumulative.shape[0] - 1)
+    targets = np.array([rng.random() for rng in rngs]) * dist.vol_n
+    k = np.searchsorted(dist.cumulative, targets, side="right")
+    return np.minimum(k, dist.cumulative.shape[0] - 1)
+
+
+def draw_volume_row(dist: VolumeDistribution, rng: Xoshiro256StarStar) -> int:
+    """A single draw_volume_rows draw."""
+    return int(draw_volume_rows(dist, (rng,))[0])
 
 
 def draw_volume(dist: VolumeDistribution, rng: Xoshiro256StarStar) -> RowSubset:
@@ -169,3 +195,14 @@ def relaxation_factor(v_sq: float, state: RelaxationState) -> float:
     ratio = min(v_sq / state.v_sq_max, 1.0)
     root = math.sqrt(max(1.0 - ratio, 0.0))
     return 1.0 - root if state.mode == "undershoot" else 1.0 + root
+
+
+def relaxation_factors(v_sq: np.ndarray, v_sq_max: np.ndarray, mode: str) -> np.ndarray:
+    """relaxation_factor over arrays of squared volumes and maxima (the
+    caller updates running maxima first); a zero maximum yields 0."""
+    known = v_sq_max > 0.0
+    ratio = np.divide(v_sq, v_sq_max, out=np.ones_like(v_sq), where=known)
+    root = np.sqrt(np.maximum(1.0 - np.minimum(ratio, 1.0), 0.0))
+    mu = 1.0 - root if mode == "undershoot" else 1.0 + root
+    mu[~known] = 0.0
+    return mu

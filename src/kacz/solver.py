@@ -1,34 +1,36 @@
 """Pursuit engine: single- and multi-row projection steps, relaxed uniform
-steps, full pursuits with error tracking, and seed-split ensembles.
+steps, and one batched pursuit loop behind both single pursuits and
+seed-split ensembles.
 
-Every step goes through one kernel. Volume steps take the subset's Gram
-matrix from the subset table of (A, n); uniform steps compute the geometry
-of their draw once and pass it on.
-
-A pursuit is sequential by definition; ensemble members are independent
-(per-member generators derived from the master seed) and reduced in
-member-index order, so results do not depend on execution schedule.
+The loop holds the iterates of R pursuits as one (R, N) array. Each
+iteration, every live member draws one subset from its own stream; draws
+never depend on the iterate, so every stream is consumed exactly as a lone
+pursuit would consume it. Volume draws and exact-mode uniform draws read
+their Gram matrices (and, for uniform draws, squared volumes) from the
+subset table of (A, n); running-mode uniform draws compute their geometry.
+One kernel, subset_steps, moves all stepping members with one stacked
+solve. A single pursuit is the R = 1 case with its own stream index, so
+ensemble member m and run_pursuit(..., member_index=m) agree. Ensemble
+statistics are reduced over the member axis after the loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DependentSubsetError
 from .linsys import LinearSystem, singular_spectrum
-from .projectors import RowSubset, make_row_subset, subset_geometry
+from .projectors import RowSubset, subset_geometry
 from .rng import Xoshiro256StarStar, mix_seed
 from .sampling import (
-    RelaxationState,
     VolumeDistribution,
     build_volume_distribution,
     draw_uniform,
-    draw_volume_row,
-    relaxation_factor,
+    draw_volume_rows,
+    relaxation_factors,
 )
 from .spectral import SpectralProfile, build_spectral_profile, rate_bounds
 from .tolerances import PRECISION_CUTOFF, psd_clamp_tol
@@ -70,7 +72,7 @@ class PursuitConfig:
 
 @dataclass
 class PursuitTrace:
-    """Per-iteration record of one pursuit; iterates is (iters_run + 1) x N."""
+    """Per-iteration record of one pursuit."""
 
     errors_sq: np.ndarray
     gain_ratios: np.ndarray
@@ -78,7 +80,6 @@ class PursuitTrace:
     mus: np.ndarray | None
     iters_run: int
     converged: bool
-    iterates: np.ndarray
 
 
 def kaczmarz_step(x: np.ndarray, a: np.ndarray, b_a: float) -> np.ndarray:
@@ -91,11 +92,16 @@ def kaczmarz_step(x: np.ndarray, a: np.ndarray, b_a: float) -> np.ndarray:
     return x + ((b_a - float(a @ x)) / norm_sq) * a
 
 
-def _step(x: np.ndarray, A_S: np.ndarray, G_S: np.ndarray, b_S: np.ndarray,
-          mu: float) -> np.ndarray:
-    """x + mu * A_S^T G_S^{-1} (b_S - A_S x) for an independent subset."""
-    cho = scipy.linalg.cho_factor(G_S, lower=True)
-    return x + mu * (A_S.T @ scipy.linalg.cho_solve(cho, b_S - A_S @ x))
+def subset_steps(X: np.ndarray, A_S: np.ndarray, G_S: np.ndarray, b_S: np.ndarray,
+                 mu: np.ndarray) -> np.ndarray:
+    """Row m is X[m] + mu[m] * A_S[m]^T G_S[m]^{-1} (b_S[m] - A_S[m] X[m]).
+
+    Shapes: X (R, N), A_S (R, n, N), G_S (R, n, n), b_S (R, n), mu (R,).
+    Every subset must be independent; one stacked solve serves all rows.
+    """
+    r = b_S - (A_S @ X[:, :, None])[:, :, 0]
+    y = np.linalg.solve(G_S, r[:, :, None])
+    return X + mu[:, None] * (A_S.transpose(0, 2, 1) @ y)[:, :, 0]
 
 
 def multirow_step(x: np.ndarray, S: RowSubset, b_S: np.ndarray) -> np.ndarray:
@@ -119,7 +125,8 @@ def relaxed_step(x: np.ndarray, S: RowSubset, b_S: np.ndarray, mu: float) -> np.
         raise DependentSubsetError(
             f"rows {S.indices} are numerically dependent; only mu = 0 is defined"
         )
-    return _step(x, S.A_n, geom.G_n, np.asarray(b_S, dtype=np.float64), mu)
+    b_S = np.asarray(b_S, dtype=np.float64)
+    return subset_steps(x[None], S.A_n[None], geom.G_n[None], b_S[None], np.array([mu]))[0]
 
 
 def _row_space_projector(A: np.ndarray) -> np.ndarray | None:
@@ -134,21 +141,21 @@ def _row_space_projector(A: np.ndarray) -> np.ndarray | None:
 
 
 class _ErrorTracker:
-    """Squared error of an iterate, in the row space when A is deficient."""
+    """Squared error of each row of X, in the row space when A is deficient."""
 
     def __init__(self, system: LinearSystem, track: str):
         self.track = track
         self.system = system
         self.row_proj = _row_space_projector(system.A) if track == "error_to_solution" else None
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         if self.track == "residual":
-            r = self.system.A @ x - self.system.b
-            return float(r @ r)
-        e = x - self.system.x_star
-        if self.row_proj is not None:
-            e = self.row_proj @ e
-        return float(e @ e)
+            D = X @ self.system.A.T - self.system.b
+        else:
+            D = X - self.system.x_star
+            if self.row_proj is not None:
+                D = D @ self.row_proj.T
+        return np.einsum("ij,ij->i", D, D)
 
 
 def _draw_x0(system: LinearSystem, config: PursuitConfig) -> np.ndarray:
@@ -168,76 +175,160 @@ def _validate_run(system: LinearSystem, config: PursuitConfig) -> None:
         raise ValueError("error_to_solution tracking needs a known solution")
 
 
-def run_pursuit(system: LinearSystem, config: PursuitConfig, member_index: int = 0,
-                table: VolumeDistribution | None = None) -> PursuitTrace:
-    """Iterate until the tracked error falls below stop_tol^2 or max_iters.
+def _grown(a: np.ndarray | None, rows: int) -> np.ndarray | None:
+    """a with its leading axis extended to rows; the new rows are unset."""
+    if a is None:
+        return None
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+    out[: a.shape[0]] = a
+    return out
 
-    member_index selects the draw stream, so an ensemble member's trace is
-    reproducible in isolation. table is the subset table of (A, n), built
-    here when the sampler needs it and not given; an ensemble passes one to
-    share the enumeration across members. It never changes the result.
-    """
-    _validate_run(system, config)
-    A, b = system.A, system.b
-    n = config.n
-    x = _draw_x0(system, config)
-    rng = Xoshiro256StarStar(mix_seed(config.master_seed, _MEMBER_STREAM_BASE + member_index))
 
-    uniform = config.sampler == "uniform"
-    exact_max = config.v_sq_max_mode == "exact"
-    if table is None and (exact_max or not uniform):
-        table = build_volume_distribution(A, n)
-    if uniform:
-        relax = RelaxationState(
-            mode=config.relax_mode, v_sq_max_mode=config.v_sq_max_mode,
-            v_sq_max=table.v_sq_max if exact_max else 0.0,
+def _held(a: np.ndarray, rows: int) -> np.ndarray:
+    """a with its leading axis extended to rows by repeating its last row."""
+    return np.concatenate([a, np.repeat(a[-1:], rows - a.shape[0], axis=0)])
+
+
+@dataclass
+class _Pursuits:
+    """What the loop leaves of R pursuits. errors_sq[k, m] is member m's
+    squared error after k steps, for k up to the longest run, held at its
+    last value once the member stops; error_vectors likewise. draws, mus
+    and error_vectors are kept only on request."""
+
+    errors_sq: np.ndarray
+    iters_run: np.ndarray
+    tol_sq: float
+    draws: np.ndarray | None
+    mus: np.ndarray | None
+    error_vectors: np.ndarray | None
+
+    def trace(self, m: int) -> PursuitTrace:
+        k = int(self.iters_run[m])
+        e = self.errors_sq[: k + 1, m].copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain_ratios = e[1:] / e[:-1]
+        return PursuitTrace(
+            errors_sq=e,
+            gain_ratios=gain_ratios,
+            draws=[tuple(d) for d in self.draws[:k, m].tolist()],
+            mus=None if self.mus is None else self.mus[:k, m].copy(),
+            iters_run=k,
+            converged=bool(e[-1] <= self.tol_sq),
         )
+
+
+def _pursue(system: LinearSystem, config: PursuitConfig, x0: np.ndarray, streams,
+            table: VolumeDistribution | None, record: bool = False,
+            collect_error_vectors: bool = False) -> _Pursuits:
+    """Run one pursuit per member stream index, all from x0, until each
+    member's tracked error falls to stop_tol^2 or max_iters steps are done.
+
+    table is the subset table of (A, n); running-mode uniform pursuits need
+    none. A member that stops draws nothing more.
+    """
+    A, b = system.A, system.b
+    n, iters = config.n, config.max_iters
+    rngs = [Xoshiro256StarStar(mix_seed(config.master_seed, _MEMBER_STREAM_BASE + m))
+            for m in streams]
+    R = len(rngs)
+    uniform = config.sampler == "uniform"
+    from_table = not uniform or config.v_sq_max_mode == "exact"
+    if uniform:
+        v_sq_max = np.full(R, table.v_sq_max if from_table else 0.0)
     else:
         table.check_drawable()
 
     track_error = _ErrorTracker(system, config.track)
+    X = np.tile(x0, (R, 1))
+    # Buffers grow with the steps taken: a large max_iters with an early
+    # stop costs no memory.
+    cap = min(iters, 1024)
+    errors = np.empty((cap + 1, R))
+    errors[0] = track_error(X)
+    draws = np.empty((cap, R, n), dtype=np.intp) if record else None
+    mus = np.empty((cap, R)) if record and uniform else None
+    vectors = np.empty((cap + 1, R, system.N)) if collect_error_vectors else None
+    if vectors is not None:
+        vectors[0] = X - system.x_star
     tol_sq = config.stop_tol**2
-    errors = [track_error(x)]
-    draws: list[tuple[int, ...]] = []
-    mus: list[float] = []
-    iterates = [x]  # steps never write into x, so the list keeps each iterate
-
-    converged = errors[0] <= tol_sq
-    iters_run = 0
-    while not converged and iters_run < config.max_iters:
+    iters_run = np.zeros(R, dtype=np.int64)
+    live = np.flatnonzero(errors[0] > tol_sq)
+    members = [rngs[m] for m in live]
+    t = 0
+    while live.size and t < iters:
+        if t == cap:
+            cap = min(2 * cap, iters)
+            errors, vectors = _grown(errors, cap + 1), _grown(vectors, cap + 1)
+            draws, mus = _grown(draws, cap), _grown(mus, cap)
+        # Index R-arrays by a slice while every member lives: views, no copies.
+        lanes = slice(None) if live.size == R else live
         if uniform:
-            idx = draw_uniform(system.M, n, rng)
-            S = make_row_subset(A, idx)
-            geom = subset_geometry(S)
-            mu = relaxation_factor(geom.v_sq, relax)
-            if geom.rank < n:
-                mu = 0.0  # dependent draw: counted, but the iterate stays put
-            if mu != 0.0:
-                x = _step(x, S.A_n, geom.G_n, b[list(idx)], mu)
-            mus.append(mu)
+            subsets = [draw_uniform(system.M, n, rng) for rng in members]
+            idx = np.array(subsets, dtype=np.intp).reshape(-1, n)
+            if from_table:
+                rows = table.rows_of(subsets)
+                independent = rows >= 0
+                v_sq = np.zeros(live.size)
+                v_sq[independent] = table.v_sq[rows[independent]]
+            else:
+                # draw_uniform's subsets are sorted and in range: no re-validation
+                geoms = [subset_geometry(RowSubset(s, A_s)) for s, A_s in zip(subsets, A[idx])]
+                independent = np.array([g.rank == n for g in geoms])
+                v_sq = np.array([g.v_sq for g in geoms])
+                v_sq_max[lanes] = np.maximum(v_sq_max[lanes], v_sq)
+            mu = relaxation_factors(v_sq, v_sq_max[lanes], config.relax_mode)
+            mu[~independent] = 0.0  # dependent draw: counted, but the iterate stays put
         else:
-            k = draw_volume_row(table, rng)
-            rows = table.indices[k]
-            x = _step(x, A[rows], table.G[k], b[rows], 1.0)
-            idx = tuple(rows.tolist())
-        draws.append(idx)
-        errors.append(track_error(x))
-        iterates.append(x)
-        iters_run += 1
-        converged = errors[-1] <= tol_sq
+            rows = draw_volume_rows(table, members)
+            idx = table.indices[rows]
+            mu = np.ones(live.size)
 
-    errors_sq = np.array(errors)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain_ratios = errors_sq[1:] / errors_sq[:-1]
-    return PursuitTrace(
-        errors_sq=errors_sq,
-        gain_ratios=gain_ratios,
-        draws=draws,
-        mus=np.array(mus) if uniform else None,
-        iters_run=iters_run,
-        converged=bool(converged),
-        iterates=np.array(iterates),
-    )
+        stepping = mu != 0.0
+        if stepping.all():
+            moving, idx_moving, mu_moving = lanes, idx, mu
+        else:
+            moving, idx_moving, mu_moving = live[stepping], idx[stepping], mu[stepping]
+        if from_table:
+            G = table.G[rows[stepping]]
+        else:
+            G = np.array([g.G_n for g, s in zip(geoms, stepping) if s]).reshape(-1, n, n)
+        errors[t + 1] = errors[t]
+        if mu_moving.size:
+            X[moving] = subset_steps(X[moving], A[idx_moving], G, b[idx_moving], mu_moving)
+            errors[t + 1, moving] = track_error(X[moving])
+        if vectors is not None:
+            vectors[t + 1] = X - system.x_star
+        if record:
+            draws[t, lanes] = idx
+            if mus is not None:
+                mus[t, lanes] = mu
+        t += 1
+        stopped = errors[t, lanes] <= tol_sq
+        if stopped.any():
+            iters_run[live[stopped]] = t
+            live = live[~stopped]
+            members = [rngs[m] for m in live]
+
+    iters_run[live] = t
+    if vectors is not None:
+        vectors = vectors[: t + 1]
+    return _Pursuits(errors[: t + 1], iters_run, tol_sq, draws, mus, vectors)
+
+
+def run_pursuit(system: LinearSystem, config: PursuitConfig,
+                member_index: int = 0) -> PursuitTrace:
+    """Iterate until the tracked error falls below stop_tol^2 or max_iters.
+
+    member_index selects the draw stream, so the trace equals that ensemble
+    member's. Running-mode uniform pursuits enumerate no subset table.
+    """
+    _validate_run(system, config)
+    table = None
+    if config.sampler == "volume" or config.v_sq_max_mode == "exact":
+        table = build_volume_distribution(system.A, config.n)
+    run = _pursue(system, config, _draw_x0(system, config), [member_index], table, record=True)
+    return run.trace(0)
 
 
 @dataclass
@@ -291,37 +382,20 @@ def run_ensemble(
         kappa_sq = profile.kappa_sq_at(config.n)
     lower_factor, upper_factor = rate_bounds(kappa_sq, 1)
 
-    member_config = replace(config, x0=_draw_x0(system, config))
-    cutoff = PRECISION_CUTOFF * (1.0 + float(system.x_star @ system.x_star))
+    run = _pursue(system, config, _draw_x0(system, config), range(members), table,
+                  record=keep_traces, collect_error_vectors=collect_error_vectors)
     iters = config.max_iters
+    e = _held(run.errors_sq, iters + 1)
+    cutoff = PRECISION_CUTOFF * (1.0 + float(system.x_star @ system.x_star))
 
-    gain_sum = np.zeros(iters)
-    gain_sq_sum = np.zeros(iters)
-    alive = np.zeros(iters, dtype=np.int64)
-    log_err_sum = np.zeros(iters + 1)
-    error_vectors = np.empty((members, iters + 1, system.N)) if collect_error_vectors else None
-    traces: list[PursuitTrace] | None = [] if keep_traces else None
-
-    for m in range(members):
-        trace = run_pursuit(system, member_config, member_index=m, table=table)
-        e = trace.errors_sq
-        k_run = trace.iters_run
-        # Everyone runs the same horizon when stop_tol is tiny; a member
-        # that stops early simply contributes fewer samples.
-        for k in range(k_run):
-            if e[k] >= cutoff and e[k] > 0.0:
-                g = e[k + 1] / e[k]
-                gain_sum[k] += g
-                gain_sq_sum[k] += g * g
-                alive[k] += 1
-        padded = np.concatenate([e, np.full(iters + 1 - e.shape[0], e[-1])])
-        log_err_sum += np.log10(np.maximum(padded, 1e-300))
-        if error_vectors is not None:
-            it = trace.iterates
-            full = np.concatenate([it, np.repeat(it[-1][None, :], iters + 1 - it.shape[0], axis=0)])
-            error_vectors[m] = full - system.x_star
-        if traces is not None:
-            traces.append(trace)
+    # Everyone runs the same horizon when stop_tol is tiny; a member that
+    # stops early simply contributes fewer samples.
+    counted = (np.arange(iters)[:, None] < run.iters_run) & (e[:-1] >= cutoff)
+    gains = np.divide(e[1:], e[:-1], out=np.zeros((iters, members)), where=counted)
+    gain_sum = gains.sum(axis=1)
+    gain_sq_sum = (gains * gains).sum(axis=1)
+    alive = counted.sum(axis=1)
+    log_err_sum = np.log10(np.maximum(e, 1e-300)).sum(axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_gain = gain_sum / alive
@@ -332,13 +406,14 @@ def run_ensemble(
 
     mean_error_sq_norm = None
     mean_error_se_rel = None
-    if error_vectors is not None:
-        mean_vec = error_vectors.mean(axis=0)
+    if run.error_vectors is not None:
+        error_vectors = _held(run.error_vectors, iters + 1)
+        mean_vec = error_vectors.mean(axis=1)
         mean_error_sq_norm = np.einsum("kj,kj->k", mean_vec, mean_vec)
         # Delta method: the dominant fluctuation of ||mean||^2 is along the
         # mean direction, 2 * std(<e_m, mean>) / sqrt(R).
-        proj = np.einsum("mkj,kj->mk", error_vectors, mean_vec)
-        se = 2.0 * proj.std(axis=0, ddof=1) / math.sqrt(members) if members > 1 else np.zeros(iters + 1)
+        proj = np.einsum("kmj,kj->km", error_vectors, mean_vec)
+        se = 2.0 * proj.std(axis=1, ddof=1) / math.sqrt(members) if members > 1 else np.zeros(iters + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             mean_error_se_rel = np.where(mean_error_sq_norm > 0, se / mean_error_sq_norm, np.inf)
 
@@ -355,5 +430,5 @@ def run_ensemble(
         profile=profile,
         mean_error_sq_norm=mean_error_sq_norm,
         mean_error_se_rel=mean_error_se_rel,
-        traces=traces,
+        traces=[run.trace(m) for m in range(members)] if keep_traces else None,
     )

@@ -78,7 +78,7 @@ def brute_force_phi(A: np.ndarray, n: int) -> np.ndarray:
 
 def elementary_symmetric(sigma_sq, n_max: int) -> tuple[np.ndarray, np.ndarray, int]:
     """e[k] = e_k(x) for k <= n_max, loo[j, k] = e_k(x without x_j) for
-    k < n_max, and p, where x = sigma_sq / 2**p and 2**p is the largest power
+    k <= n_max, and p, where x = sigma_sq / 2**p and 2**p is the largest power
     of two not above max(sigma_sq): scaling is exact, x lies in [0, 2) and a
     grade-n value is ldexp(value, n * p). Every term of e_k += x_i e_{k-1}
     is nonnegative, so nothing cancels (Kulesza & Taskar 2012, sec. 5.2):
@@ -92,7 +92,7 @@ def elementary_symmetric(sigma_sq, n_max: int) -> tuple[np.ndarray, np.ndarray, 
         update = xi * table[:, :-1]
         update[i] = 0.0
         table[:, 1:] += update
-    return table[-1], table[:-1, :n_max], p
+    return table[-1], table[:-1], p
 
 
 def volume_sum(sigma_sq, n: int) -> float:
@@ -173,15 +173,20 @@ def gram_inverse_via_phi(G: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralProfile:
     """Grade table of one matrix: row n-1 of each array is the n-row pursuit's
-    transformed values (aligned with sigma_sq), kappa^2_n and v_min."""
+    transformed values (aligned with sigma_sq), those values over vol_n,
+    kappa^2_n and v_min."""
 
     vols: np.ndarray
     phi_eigs: np.ndarray
+    normalized: np.ndarray
     kappa_sq: np.ndarray
     v_min: np.ndarray
 
     def phi_eigs_at(self, n: int) -> np.ndarray:
         return self.phi_eigs[n - 1]
+
+    def normalized_at(self, n: int) -> np.ndarray:
+        return self.normalized[n - 1]
 
     def kappa_sq_at(self, n: int) -> float:
         return float(self.kappa_sq[n - 1])
@@ -209,7 +214,11 @@ def build_profile_from_decomposition(
         rank = np.count_nonzero(sigma_sq)
         raise RankDeficiencyError(f"all grade-{n_max} subset volumes vanish (rank {rank})")
     positive = sigma_sq > psd_clamp_tol(N, float(np.max(sigma_sq)))
-    hats = np.ldexp(sigma_sq, -p) * loo.T
+    hats = np.ldexp(sigma_sq, -p) * loo[:, :-1].T
+    # sigma_hat_j^2 / vol_n = t / (t + s) with s = e_n(x without j) >= 0, since
+    # e_n(x) = x_j e_{n-1}(x without j) + s: never above 1, exactly 1 at n = N
+    with_rest = hats + loo[:, 1:].T
+    normalized = np.divide(hats, with_rest, out=np.zeros_like(hats), where=hats > 0.0)
     masked = np.where(positive, hats, np.inf)
     hat_min = np.min(masked, axis=1)
     grades = np.arange(n_max + 1)
@@ -225,7 +234,7 @@ def build_profile_from_decomposition(
             raise NumericError(f"grade {bad[0] + 1}: {name} = {values[bad[0]]:.3e} "
                                f"is not a finite, normal, positive double")
     v_min = decomp.V[:, np.argmin(masked, axis=1)].T
-    return SpectralProfile(vols, phi_eigs, kappa_sq, v_min)
+    return SpectralProfile(vols, phi_eigs, normalized, kappa_sq, v_min)
 
 
 def build_spectral_profile(A: np.ndarray, n_max: int) -> SpectralProfile:

@@ -224,6 +224,17 @@ class TestSpectralScalarRegressions:
         assert len(rows) == 16 * 16
         assert max(float(r[4]) for r in rows) <= 1.0
 
+    @pytest.mark.parametrize("decay", ["linear_sv", "exponential_sv"])
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_normalized_never_above_one(self, tmp_path, decay, N):
+        """sigma_hat_j^2 / vol_n is at most 1, and exactly 1 at n = N."""
+        code, text = run_cli(["transform", "--synthetic", str(N), "--decay", decay], tmp_path)
+        assert code == 0
+        rows = [line.split(",") for line in text.strip().split("\n")[1:]]
+        assert len(rows) == N * N
+        assert max(float(r[4]) for r in rows) <= 1.0
+        assert [r[4] for r in rows if int(r[0]) == N] == ["1"] * N
+
     def test_gaussian_400x60_spectrum_matches_exact(self, tmp_path):
         A = np.random.default_rng(11).standard_normal((400, 60))
         mpath = tmp_path / "gauss.csv"

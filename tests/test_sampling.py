@@ -12,12 +12,15 @@ from kacz.rng import Xoshiro256StarStar
 from kacz.sampling import (
     RelaxationState,
     build_volume_distribution,
+    colex_rank,
     combinations_colex,
     draw_uniform,
     draw_volume,
     draw_volume_row,
+    draw_volume_rows,
     max_subset_volume,
     relaxation_factor,
+    relaxation_factors,
 )
 from kacz.spectral import vol_sequence
 
@@ -80,7 +83,44 @@ class TestVolumeDistribution:
         assert dist.vol_n == pytest.approx(vols[n], rel=1e-10)
 
 
+class TestColexRanks:
+    @given(st.integers(1, 9), st.integers(1, 9))
+    def test_rank_is_enumeration_position(self, M, n):
+        if n > M:
+            return
+        assert [colex_rank(s) for s in combinations_colex(M, n)] == list(range(math.comb(M, n)))
+
+    def test_table_rows_of_every_subset(self):
+        # rows 0 and 1 are parallel, so every subset holding both has zero volume
+        A = np.random.default_rng(3).standard_normal((7, 4))
+        A[1] = 2.0 * A[0]
+        dist = build_volume_distribution(A, 3)
+        assert dist.ranks.tolist() == [colex_rank(s) for s in dist.indices.tolist()]
+        assert (np.diff(dist.ranks) > 0).all()
+        subsets = list(combinations_colex(7, 3))
+        rows = dist.rows_of(subsets)
+        for s, k in zip(subsets, rows.tolist()):
+            if {0, 1} <= set(s):
+                assert k == -1
+            else:
+                assert tuple(dist.indices[k].tolist()) == s
+
+    def test_empty_table_finds_nothing(self):
+        dist = build_volume_distribution(np.ones((4, 2)), 2)
+        assert dist.rows_of([(0, 1), (2, 3)]).tolist() == [-1, -1]
+
+
 class TestDrawVolume:
+    def test_batched_draws_match_single_draws(self):
+        """One draw per generator, each stream consumed as a lone draw would."""
+        A = np.random.default_rng(8).standard_normal((9, 5))
+        dist = build_volume_distribution(A, 2)
+        batch = [Xoshiro256StarStar(s) for s in range(6)]
+        single = [Xoshiro256StarStar(s) for s in range(6)]
+        for _ in range(200):
+            got = draw_volume_rows(dist, batch).tolist()
+            assert got == [draw_volume_row(dist, g) for g in single]
+
     def test_matches_sequential_sum_and_bisection(self):
         """The table's cumulative weights and searchsorted draw equal a
         running Python sum and a bisection over it, bit for bit."""
@@ -242,6 +282,19 @@ class TestRelaxationFactor:
             history.append(state.v_sq_max)
         assert state.v_sq_max == pytest.approx(exact, rel=1e-12)
         assert all(b >= a for a, b in zip(history, history[1:]))
+
+
+class TestRelaxationFactors:
+    @pytest.mark.parametrize("mode", ["undershoot", "overshoot"])
+    def test_bit_equal_to_scalar(self, mode):
+        gen = np.random.default_rng(17)
+        v_max = np.concatenate([gen.exponential(size=300), np.zeros(20)])
+        v_sq = v_max * gen.uniform(0.0, 1.2, size=v_max.size)  # some above the max
+        v_sq[::7] = 0.0
+        got = relaxation_factors(v_sq, v_max, mode)
+        want = [relaxation_factor(v, RelaxationState(mode=mode, v_sq_max=m))
+                for v, m in zip(v_sq.tolist(), v_max.tolist())]
+        assert got.tolist() == want
 
 
 class TestMaxSubsetVolume:

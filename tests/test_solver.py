@@ -12,8 +12,16 @@ import kacz.solver
 from kacz.errors import DependentSubsetError, RankDeficiencyError
 from kacz.linsys import make_linear_system, synth_system
 from kacz.projectors import make_row_subset, quasi_projector, subset_geometry
-from kacz.rng import Xoshiro256StarStar
-from kacz.sampling import draw_uniform, max_subset_volume, RelaxationState, relaxation_factor
+from kacz.rng import Xoshiro256StarStar, mix_seed
+from kacz.sampling import (
+    RelaxationState,
+    build_volume_distribution,
+    draw_uniform,
+    draw_volume,
+    max_subset_volume,
+    relaxation_factor,
+)
+from kacz.tolerances import ENUMERATION_CAP
 from kacz.solver import (
     PursuitConfig,
     kaczmarz_step,
@@ -290,6 +298,18 @@ class TestRunEnsemble:
         assert report.mean_error_se_rel.shape == (13,)
         assert report.mean_error_sq_norm[0] > 0
 
+    def test_buffers_follow_steps_taken(self, reference_system):
+        # converges in one step: a trillion-step horizon must cost nothing
+        config = PursuitConfig(n=2, master_seed=0, max_iters=10**12, stop_tol=1e-10)
+        assert run_pursuit(reference_system, config).iters_run == 1
+        system = synth_system(9, 5, seed=13)
+        config = PursuitConfig(n=1, master_seed=7, max_iters=1100, stop_tol=1e-300)
+        report = run_ensemble(system, config, members=3, collect_error_vectors=True,
+                              keep_traces=True)
+        assert report.mean_error_sq_norm.shape == report.mean_log10_error.shape == (1101,)
+        assert max(t.iters_run for t in report.traces) == 1100
+        assert all(t.errors_sq.shape == (t.iters_run + 1,) for t in report.traces)
+
     def test_uniform_running_mode_ensemble(self):
         system = synth_system(9, 5, seed=13)
         config = PursuitConfig(n=2, sampler="uniform", v_sq_max_mode="running",
@@ -303,6 +323,114 @@ class TestRunEnsemble:
             # first draw always becomes the running max, so the first step is
             # a full projection (or a no-op if the draw was dependent)
             assert trace.mus[0] in (0.0, 1.0)
+
+
+def _reference_pursuit(system, config, member_index):
+    """A plain loop over one member's draws: the judge of the batched engine.
+
+    Returns the squared errors, the draws, the relaxation factors (None for
+    volume draws) and whether the member stopped at stop_tol.
+    """
+    A, b, n = system.A, system.b, config.n
+    x = np.array(Xoshiro256StarStar(mix_seed(config.master_seed, 0)).normals(system.N))
+    if config.x0 is not None:
+        x = np.array(config.x0, dtype=np.float64)
+    rng = Xoshiro256StarStar(mix_seed(config.master_seed, 1 + member_index))
+    dist = build_volume_distribution(A, n)
+    exact = config.v_sq_max_mode == "exact"
+    state = RelaxationState(mode=config.relax_mode, v_sq_max_mode=config.v_sq_max_mode,
+                            v_sq_max=dist.v_sq_max if exact else 0.0)
+    row_space = np.linalg.pinv(A) @ A
+
+    def error(x):
+        d = A @ x - b if config.track == "residual" else row_space @ (x - system.x_star)
+        return float(d @ d)
+
+    errors, draws, mus = [error(x)], [], []
+    while errors[-1] > config.stop_tol**2 and len(draws) < config.max_iters:
+        if config.sampler == "volume":
+            S, mu = draw_volume(dist, rng), 1.0
+        else:
+            S = make_row_subset(A, draw_uniform(system.M, n, rng))
+            geom = subset_geometry(S)
+            mu = relaxation_factor(geom.v_sq, state) if geom.rank == n else 0.0
+            mus.append(mu)
+        x = relaxed_step(x, S, b[list(S.indices)], mu)
+        draws.append(S.indices)
+        errors.append(error(x))
+    return np.array(errors), draws, mus if config.sampler == "uniform" else None
+
+
+def _rank_three_system():
+    """8 x 5 of rank 3 with rows 0 and 1 parallel: dependent pairs and
+    triples, and an error outside the row space."""
+    gen = np.random.default_rng(5)
+    A = gen.standard_normal((8, 3)) @ gen.standard_normal((3, 5))
+    A[1] = 2.0 * A[0]
+    return make_linear_system(A, x_star=gen.standard_normal(5))
+
+
+class TestEngineOracle:
+    """Every member of a batched ensemble equals a plain per-member loop:
+    draws equal, relaxation factors bit-equal, errors within 1e-10 relative
+    wherever they lie above rounding level, 1e-20 of the starting error."""
+
+    @pytest.mark.parametrize("system, n, overrides", [
+        (synth_system(9, 5, seed=13), 1, dict(sampler="volume")),
+        (synth_system(9, 5, seed=13), 2, dict(sampler="volume")),
+        (synth_system(9, 5, seed=13), 2, dict(sampler="uniform", relax_mode="undershoot")),
+        (synth_system(9, 5, seed=13), 3, dict(sampler="uniform", relax_mode="overshoot")),
+        (synth_system(9, 5, seed=13), 2, dict(sampler="uniform", v_sq_max_mode="running")),
+        (_rank_three_system(), 2, dict(sampler="volume")),
+        (_rank_three_system(), 3, dict(sampler="uniform", relax_mode="overshoot")),
+        (_rank_three_system(), 3, dict(sampler="uniform", v_sq_max_mode="running")),
+        (synth_system(9, 5, seed=13), 2, dict(sampler="uniform", track="residual")),
+        (synth_system(9, 5, seed=13), 3, dict(sampler="volume", track="residual")),
+        # members stop early, each at its own iteration
+        (synth_system(9, 5, seed=13), 3, dict(sampler="volume", stop_tol=1e-2)),
+        (synth_system(9, 5, seed=13), 3, dict(sampler="uniform", stop_tol=1e-2, max_iters=300)),
+        (synth_system(6, 6, seed=2), 6, dict(sampler="volume", stop_tol=1e-8)),
+    ])
+    def test_members_match_reference_loop(self, system, n, overrides):
+        config = PursuitConfig(n=n, master_seed=11,
+                               **{"max_iters": 40, "stop_tol": 1e-300, **overrides})
+        report = run_ensemble(system, config, members=6, keep_traces=True)
+        for m, trace in enumerate(report.traces):
+            errors, draws, mus = _reference_pursuit(system, config, m)
+            assert trace.draws == draws
+            if mus is None:
+                assert trace.mus is None
+            else:
+                assert trace.mus.tolist() == mus
+            assert trace.iters_run == len(draws)
+            np.testing.assert_allclose(trace.errors_sq, errors, rtol=1e-10,
+                                       atol=1e-20 * errors[0])
+        stops = {t.iters_run for t in report.traces}
+        if config.stop_tol > 1e-300:
+            assert all(t.converged for t in report.traces)
+            if n < system.N:
+                assert len(stops) > 1, "members should stop at different iterations"
+            else:
+                assert stops == {1}
+        if system.M == 8 and config.sampler == "uniform":
+            assert any(mu == 0.0 for t in report.traces for mu in t.mus)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(sampler="volume"), dict(sampler="uniform", relax_mode="overshoot"),
+        dict(sampler="uniform", v_sq_max_mode="running"),
+    ])
+    def test_single_pursuit_is_ensemble_member(self, overrides):
+        # 1,500 steps cross the engine's first 1,024-step buffer block
+        system = synth_system(9, 5, seed=13)
+        config = PursuitConfig(n=2, master_seed=4, max_iters=1500, stop_tol=1e-300, **overrides)
+        report = run_ensemble(system, config, members=5, keep_traces=True)
+        for m, member in enumerate(report.traces):
+            alone = run_pursuit(system, config, member_index=m)
+            assert alone.draws == member.draws
+            if alone.mus is not None:
+                assert alone.mus.tolist() == member.mus.tolist()
+            np.testing.assert_allclose(alone.errors_sq, member.errors_sq, rtol=1e-12,
+                                       atol=1e-20 * member.errors_sq[0])
 
 
 def _count_geometry(monkeypatch) -> list:
@@ -320,11 +448,12 @@ def _count_geometry(monkeypatch) -> list:
 
 
 class TestSubsetTableReuse:
-    """One enumeration of grade n per (A, n), and one geometry per uniform step."""
+    """One enumeration of grade n per (A, n); only running-mode uniform steps
+    compute their geometry, every other step reads it from the table."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("sampler, mode, vmax_mode, geometry_per_step", [
-        ("uniform", "undershoot", "exact", 1), ("uniform", "overshoot", "exact", 1),
+        ("uniform", "undershoot", "exact", 0), ("uniform", "overshoot", "exact", 0),
         ("uniform", "undershoot", "running", 1), ("volume", "undershoot", "exact", 0),
     ])
     def test_ensemble_enumerates_grade_n_once(self, monkeypatch, n, sampler, mode,
@@ -349,7 +478,7 @@ class TestSubsetTableReuse:
         uniform = PursuitConfig(n=3, sampler="uniform", master_seed=1, max_iters=12,
                                 stop_tol=1e-300)
         trace = run_pursuit(system, uniform)
-        assert len(calls) == math.comb(6, 3) + 12
+        assert len(calls) == math.comb(6, 3)
         assert (trace.mus == 0.0).all()
         assert (trace.errors_sq == trace.errors_sq[0]).all()
 
@@ -357,6 +486,23 @@ class TestSubsetTableReuse:
         with pytest.raises(RankDeficiencyError):
             run_pursuit(system, replace(uniform, sampler="volume"))
         assert len(calls) == math.comb(6, 3)
+
+    def test_running_mode_enumerates_nothing(self, monkeypatch):
+        """The scale path: C(M, n) far above the cap, one geometry per step."""
+        assert math.comb(2100, 3) > ENUMERATION_CAP
+        system = synth_system(2100, 5, seed=3)
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("running mode must not enumerate")
+
+        monkeypatch.setattr(kacz.solver, "build_volume_distribution", no_enumeration)
+        calls = _count_geometry(monkeypatch)
+        config = PursuitConfig(n=3, sampler="uniform", v_sq_max_mode="running",
+                               master_seed=2, max_iters=20, stop_tol=1e-300)
+        trace = run_pursuit(system, config)
+        assert trace.iters_run == 20
+        assert len(calls) == 20
+        assert (trace.gain_ratios <= 1 + 1e-10).all()
 
 
 # Draws and relaxation factors of member 0 under master seed 7 on
